@@ -222,6 +222,11 @@ def cmd_feature_engineering(args) -> int:
 
 
 def cmd_ab_test(args) -> int:
+    if args.both and args.dump_log:
+        raise UsageError(
+            "--dump-log writes one regime's log; with --both there are two, "
+            "so pick --shared-log or --separate-logs"
+        )
     cfg = _scenario_config(args)
     if args.both:
         regimes = [True, False]
@@ -233,12 +238,10 @@ def cmd_ab_test(args) -> int:
     rows = []
     summary_regimes = {}
     fingerprint = None
-    logs = {}
     for shared in regimes:
         result = scenario_ab_test(cfg, shared_log=shared)
         regime = "shared" if shared else "separate"
         fingerprint = result.gt.fingerprint()
-        logs[regime] = result.log
         for r in result.common_reports:
             rows.append(_report_row("ab_test", regime, r))
         for day_pair in zip(result.arm_reports["A"], result.arm_reports["B"]):
@@ -257,8 +260,7 @@ def cmd_ab_test(args) -> int:
     }
     _write_json(out / "summary.json", summary)
     artifacts = {"reports": "reports.csv", "summary": "summary.json"}
-    if args.dump_log and len(regimes) == 1:
-        _maybe_dump_log(args, out, logs[next(iter(logs))], artifacts)
+    _maybe_dump_log(args, out, result.log, artifacts)
     config = _base_config_dict(cfg)
     config["ab_start_day"] = cfg.ab_start_day
     config["regimes"] = sorted(summary_regimes)

@@ -20,6 +20,25 @@ __all__ = ["ARM_LABELS", "Interaction", "Log"]
 ARM_LABELS = {-1: "", 0: "A", 1: "B"}
 ARM_CODES = {label: code for code, label in ARM_LABELS.items()}
 
+# Rows formatted per write in Log.to_ndjson; bounds the export's extra memory.
+NDJSON_CHUNK_ROWS = 8192
+
+# The NDJSON keys in the order json.dumps(sort_keys=True) writes them, each
+# with the text it writes for one column value: the key, the value and the
+# separator after it, or "" where the key is omitted.  "a" and "x2" are always
+# present, so they also open and close the object.
+_NDJSON_FIELDS = (
+    ("a", lambda v: f'{{"a": {int(v)}, '),
+    ("arm", lambda v: f'"arm": {json.dumps(ARM_LABELS[int(v)])}, ' if int(v) != -1 else ""),
+    ("c", lambda v: f'"c": {int(v)}, '),
+    ("d", lambda v: f'"d": {int(v)}, '),
+    ("day", lambda v: f'"day": {int(v)}, '),
+    ("propensity", lambda v: f'"propensity": {float(v)!r}, '),
+    ("s", lambda v: f'"s": {int(v)}, ' if int(v) != -1 else ""),
+    ("x1", lambda v: f'"x1": {int(v)}, '),
+    ("x2", lambda v: f'"x2": {int(v)}}}\n'),
+)
+
 
 @dataclass(frozen=True)
 class Interaction:
@@ -34,23 +53,6 @@ class Interaction:
     d: int | None = None
     s: int | None = None
     arm: str | None = None
-
-    def to_dict(self) -> dict:
-        payload = {
-            "day": self.day,
-            "x1": self.x1,
-            "x2": self.x2,
-            "a": self.a,
-            "propensity": self.propensity,
-            "c": self.c,
-        }
-        if self.d is not None:
-            payload["d"] = self.d
-        if self.s is not None:
-            payload["s"] = self.s
-        if self.arm:
-            payload["arm"] = self.arm
-        return payload
 
 
 @dataclass
@@ -84,7 +86,7 @@ class Log:
                 raise ValueError(f"column {name!r} length mismatch")
         if n and np.any(np.diff(self.day) < 0):
             raise ValueError("rows must be ordered by nondecreasing day")
-        if np.any((self.propensity <= 0) | (self.propensity > 1)):
+        if not np.all((self.propensity > 0) & (self.propensity <= 1)):
             raise ValueError("propensities must lie in (0, 1]")
         if self.s is not None and np.any((self.c == 0) & (self.s != -1)):
             raise ValueError("sale outcome must be absent (-1) when c == 0")
@@ -179,7 +181,28 @@ class Log:
         )
 
     def to_ndjson(self, fh) -> None:
-        """Write one JSON object per interaction, in log order."""
-        for i in range(len(self)):
-            fh.write(json.dumps(self[i].to_dict(), sort_keys=True))
-            fh.write("\n")
+        """Write one JSON object per interaction, in log order.
+
+        The bytes are those of ``json.dumps(record, sort_keys=True)`` plus
+        ``"\\n"`` for each row: keys in sorted order (``a, arm, c, d, day,
+        propensity, s, x1, x2``), the default ``", "`` and ``": "``
+        separators, integers in decimal and the propensity as
+        ``repr(float)``.  ``"d"`` appears only when the log has a decision
+        column, ``"s"`` only on rows whose sale outcome is observed (not
+        -1), and ``"arm"`` only on rows inside an A/B split (arm code not
+        -1).  Rows are formatted and written in chunks of at most
+        ``NDJSON_CHUNK_ROWS``, one ``fh.write`` per chunk.
+        """
+        columns = [
+            (col, text) for key, text in _NDJSON_FIELDS if (col := getattr(self, key)) is not None
+        ]
+        for lo in range(0, len(self), NDJSON_CHUNK_ROWS):
+            fields = [_fragments(col[lo : lo + NDJSON_CHUNK_ROWS], text) for col, text in columns]
+            fh.write("".join(map("".join, zip(*fields))))
+
+
+def _fragments(col: np.ndarray, text) -> list:
+    """``text`` of each element of ``col``, called once per distinct value."""
+    values, inverse = np.unique(col, return_inverse=True)
+    table = [text(v) for v in values.tolist()]
+    return [table[i] for i in inverse.tolist()]

@@ -7,12 +7,17 @@ session, in parallel worker processes, and only the per-day reports are
 kept (the logs would be gigabytes).
 """
 
+import io
+import os
 from multiprocessing import Pool
 
 import pytest
 
 from confoundsim import ScenarioConfig, scenario_ab_test, scenario_feature_engineering
 from confoundsim.fixtures import FIXTURE_SEEDS
+
+# Worker processes for the seed sweeps: one per CPU, since each is CPU-bound.
+POOL_WORKERS = os.cpu_count() or 1
 
 
 def _sweep_one(seed: int) -> dict:
@@ -37,7 +42,7 @@ def _sweep_one(seed: int) -> dict:
 @pytest.fixture(scope="session")
 def day_loop_sweep():
     """Per-seed day reports for all fixture seeds at full scale."""
-    with Pool(processes=8) as pool:
+    with Pool(processes=POOL_WORKERS) as pool:
         rows = pool.map(_sweep_one, FIXTURE_SEEDS)
     return {row["seed"]: row for row in rows}
 
@@ -57,3 +62,10 @@ def all_reports(sweep_row: dict):
     ):
         out.extend(sweep_row[key])
     return out
+
+
+def ndjson_text(log) -> str:
+    """The log's NDJSON export as one string."""
+    out = io.StringIO()
+    log.to_ndjson(out)
+    return out.getvalue()

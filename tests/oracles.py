@@ -5,15 +5,18 @@ deliberately different route: per-cell Newton iteration instead of the
 closed-form log-odds, exhaustive joint-table marginalization instead of
 graph traversal, pure-Python loops with ``math.exp`` instead of
 vectorized einsums, central finite differences instead of analytic
-gradients, and raw-row tallies instead of fitted-model counts for the
-support and standard error of a backdoor adjustment.  Tests freeze oracle outputs as literals wherever the value
-is a single number, so a regression in the oracle itself cannot mask a
-regression in the library.
+gradients, raw-row tallies instead of fitted-model counts for the
+support and standard error of a backdoor adjustment, and one
+``json.dumps`` per row instead of the columnar NDJSON formatter.  Tests
+freeze oracle outputs as literals wherever the value is a single number,
+so a regression in the oracle itself cannot mask a regression in the
+library.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -295,3 +298,32 @@ def best_deterministic_factored(table, weights, grid_a, grid_d, rows_a, rows_d) 
                     )
             best = max(best, total)
     return best
+
+
+def ndjson_reference(log) -> str:
+    """NDJSON export by the per-row route: one ``json.dumps`` per row.
+
+    Each record is built from the raw columns with Python scalars and
+    serialized with ``json.dumps(..., sort_keys=True)``.  ``d`` is written
+    whenever the log has the column, ``s`` unless it is -1, and ``arm`` as
+    its letter unless the code is -1.
+    """
+    arm_letters = {0: "A", 1: "B"}
+    lines = []
+    for i in range(len(log)):
+        record = {
+            "day": int(log.day[i]),
+            "x1": int(log.x1[i]),
+            "x2": int(log.x2[i]),
+            "a": int(log.a[i]),
+            "propensity": float(log.propensity[i]),
+            "c": int(log.c[i]),
+        }
+        if log.d is not None:
+            record["d"] = int(log.d[i])
+        if log.s is not None and int(log.s[i]) != -1:
+            record["s"] = int(log.s[i])
+        if log.arm is not None and int(log.arm[i]) != -1:
+            record["arm"] = arm_letters[int(log.arm[i])]
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -63,6 +63,7 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
+from conftest import POOL_WORKERS
 from oracles import (
     adjustment_support,
     central_difference,
@@ -73,7 +74,6 @@ from oracles import (
 )
 
 MIN_PASSING_SEEDS = 45
-POOL_WORKERS = 8
 
 
 def verdict(capsys, number: int, ok: bool, detail: str) -> None:

@@ -117,6 +117,14 @@ class TestABTest:
         assert set(summary["regimes"]) == {"shared", "separate"}
         assert len(summary["regimes"]["shared"]["arm_a_expected_ctr"]) == 2
 
+    def test_both_with_dump_log_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "ab-test", "--both", "--dump-log", "--out", str(tmp_path), *SMALL
+        )
+        assert code == 2
+        assert "--both" in err and "--dump-log" in err
+        assert not (tmp_path / "ab_test").exists()
+
     def test_invalid_start_day_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "ab-test", "--out", str(tmp_path), *SMALL,

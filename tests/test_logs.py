@@ -1,11 +1,17 @@
 """Log container tests: ordering, slicing, concatenation, export."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confoundsim import Interaction, Log
+from confoundsim.logs import NDJSON_CHUNK_ROWS
+from conftest import ndjson_text
+from oracles import ndjson_reference
 
 
 def small_log(days=(0, 0, 1, 1, 1, 2), with_sales=False, with_arms=False):
@@ -30,6 +36,39 @@ def small_log(days=(0, 0, 1, 1, 1, 2), with_sales=False, with_arms=False):
     )
 
 
+PROPENSITIES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.0),
+    st.sampled_from([1.0, 1 / 3, 0.1 + 0.2, 1e-07]),
+)
+
+
+@st.composite
+def random_logs(draw, with_decisions, with_sales, with_arms):
+    """Day-ordered logs with the given optional columns; sale and arm
+    columns mix -1 (absent) with real values."""
+    n = draw(st.integers(0, 30))
+
+    def column(values, dtype):
+        return np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    ints = st.integers(0, 2**31 - 1)
+    c = column(st.integers(0, 1), np.int8)
+    s = None
+    if with_sales:
+        s = np.where(c == 1, column(st.integers(-1, 1), np.int8), -1).astype(np.int8)
+    return Log(
+        day=np.sort(column(ints, np.int32)),
+        x1=column(ints, np.int32),
+        x2=column(ints, np.int32),
+        a=column(ints, np.int32),
+        propensity=column(PROPENSITIES, np.float64),
+        c=c,
+        d=column(ints, np.int32) if with_decisions else None,
+        s=s,
+        arm=column(st.integers(-1, 1), np.int8) if with_arms else None,
+    )
+
+
 class TestInvariants:
     def test_days_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
@@ -44,6 +83,18 @@ class TestInvariants:
                 x2=log.x2,
                 a=log.a,
                 propensity=np.zeros(len(log)),
+                c=log.c,
+            )
+
+    def test_nan_propensity_rejected(self):
+        log = small_log()
+        with pytest.raises(ValueError):
+            Log(
+                day=log.day,
+                x1=log.x1,
+                x2=log.x2,
+                a=log.a,
+                propensity=np.full(len(log), np.nan),
                 c=log.c,
             )
 
@@ -148,3 +199,43 @@ class TestExport:
         small_log().to_ndjson(out)
         assert '"s"' not in out.getvalue()
         assert '"arm"' not in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "with_decisions, with_sales, with_arms", list(itertools.product((False, True), repeat=3))
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ndjson_matches_per_row_reference(self, with_decisions, with_sales, with_arms, data):
+        log = data.draw(random_logs(with_decisions, with_sales, with_arms))
+        assert ndjson_text(log) == ndjson_reference(log)
+
+    @pytest.mark.parametrize(
+        "n", [0, NDJSON_CHUNK_ROWS - 1, NDJSON_CHUNK_ROWS, NDJSON_CHUNK_ROWS + 1]
+    )
+    def test_ndjson_across_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.integers(0, 2, n).astype(np.int8)
+        log = Log(
+            day=np.sort(rng.integers(0, 6, n)).astype(np.int32),
+            x1=rng.integers(0, 5, n).astype(np.int32),
+            x2=rng.integers(0, 5, n).astype(np.int32),
+            a=rng.integers(0, 10, n).astype(np.int32),
+            propensity=rng.choice([0.05 / 9, 0.955, 1 / 3, 1.0], n),
+            c=c,
+            d=rng.integers(0, 2, n).astype(np.int32),
+            s=np.where(c == 1, rng.integers(-1, 2, n), -1).astype(np.int8),
+            arm=rng.integers(-1, 2, n).astype(np.int8),
+        )
+        got = ndjson_text(log).splitlines(keepends=True)
+        want = ndjson_reference(log).splitlines(keepends=True)
+        assert len(got) == len(want) == n
+        # The first differing row, not a diff of two megabyte strings.
+        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert bad is None, (bad, got[bad], want[bad])
+
+    def test_ndjson_rejects_unknown_arm_code(self):
+        log = small_log(with_arms=True)
+        log.arm[2] = 7
+        with pytest.raises(KeyError):
+            log.to_ndjson(io.StringIO())
+

@@ -1,7 +1,5 @@
 """Scenario tests: single-day simulation and the four studies."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -29,16 +27,10 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
-from conftest import all_reports
+from conftest import all_reports, ndjson_text
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 DESK = ScenarioConfig(samples_per_day=20_000)
-
-
-def ndjson_text(log):
-    out = io.StringIO()
-    log.to_ndjson(out)
-    return out.getvalue()
 
 
 def flat_truth():
