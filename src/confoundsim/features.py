@@ -41,6 +41,11 @@ def _canonical_subset(subset, universe, label):
     return tuple(name for name in universe if name in subset)
 
 
+def _covariate_union(*subsets) -> tuple:
+    """Covariates named in any of ``subsets``, in canonical order."""
+    return _canonical_subset(set().union(*subsets), COVARIATE_FACTORS, "covariate")
+
+
 @dataclass(frozen=True)
 class CategoricalSpec:
     """Cardinalities of the categorical universe.

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CategoricalSpec, _canonical_subset, COVARIATE_FACTORS, context_count, context_index
+from .features import (CategoricalSpec, _canonical_subset, _covariate_union, COVARIATE_FACTORS,
+                       context_count, context_index)
 from .glm import FittedModel, prediction_table
 from .numerics import PROB_ATOL, softmax_rows
 
@@ -207,15 +208,6 @@ class FactoredPolicyParams:
         if not (np.all(np.isfinite(self.action_logits)) and np.all(np.isfinite(self.decision_logits))):
             raise ValueError("factored policy logits must be finite")
 
-    def copy(self) -> "FactoredPolicyParams":
-        return FactoredPolicyParams(
-            spec=self.spec,
-            action_context=self.action_context,
-            decision_context=self.decision_context,
-            action_logits=self.action_logits.copy(),
-            decision_logits=self.decision_logits.copy(),
-        )
-
     def context_grids(self):
         """Context row index per ``(x1, x2)`` for both factors."""
         i, j = np.meshgrid(np.arange(self.spec.k1), np.arange(self.spec.k2), indexing="ij")
@@ -230,12 +222,10 @@ def to_joint(params: FactoredPolicyParams) -> Policy:
     pd = softmax_rows(params.decision_logits)
     ga, gd = params.context_grids()
     probs = pa[ga][:, :, :, None] * pd[gd][:, :, None, :]
-    visibility = tuple(sorted(set(params.action_context) | set(params.decision_context),
-                              key=COVARIATE_FACTORS.index))
     return Policy(
         spec=params.spec,
         probs=probs,
-        visibility=visibility,
+        visibility=_covariate_union(params.action_context, params.decision_context),
         epsilon=None,
         source="factored_softmax",
     )

@@ -15,7 +15,8 @@ closed forms by enumeration (:func:`exact_objective`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,39 +54,53 @@ class SearchConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 0:
+            raise ValueError("iterations must be a nonnegative integer")
+        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
+            raise ValueError("batch_size must be a positive integer")
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
-def _check_compatible(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth):
+# What a search reads besides the logits, fixed while it runs.  weight_cdf
+# runs over the flattened (x1, x2) cells; grid_* map cells to head rows.
+_SearchInputs = namedtuple("_SearchInputs", "table weights weight_cdf grid_a grid_d")
+
+
+def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth) -> _SearchInputs:
     if model.feature_spec.spec != params.spec or gt.spec != params.spec:
         raise ValueError("model, params, and ground truth must share one categorical spec")
+    weights = gt.covariate_weights
+    grid_a, grid_d = params.context_grids()
+    return _SearchInputs(prediction_table(model), weights, np.cumsum(weights.ravel()), grid_a, grid_d)
 
 
-def _cell_distributions(params: FactoredPolicyParams):
-    """Per-cell head distributions, (k1, k2, A) and (k1, k2, D)."""
-    ctx_a, ctx_d = params.context_grids()
-    pi_a = softmax_rows(params.action_logits)[ctx_a]
-    pi_d = softmax_rows(params.decision_logits)[ctx_d]
-    return ctx_a, ctx_d, pi_a, pi_d
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[r, c]`` sums ``values[..., c]`` over every position where ``rows`` is r.
+
+    Each ``bincount`` bin adds its values in input order from 0.0, so the
+    sums are bit-identical to ``np.add.at`` into zeros.
+    """
+    n_cols = values.shape[-1]
+    index = (rows.reshape(-1, 1) * n_cols + np.arange(n_cols)).ravel()
+    return np.bincount(index, weights=values.ravel(), minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
+def _objective(inputs: _SearchInputs, action_logits: np.ndarray, decision_logits: np.ndarray) -> float:
+    pi_a = softmax_rows(action_logits)[inputs.grid_a]
+    pi_d = softmax_rows(decision_logits)[inputs.grid_d]
+    return float(np.einsum("ij,ija,ijd,ijad->", inputs.weights, pi_a, pi_d, inputs.table))
 
 
 def exact_objective(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth) -> float:
     """Expected model-predicted reward of the factored policy, by enumeration."""
-    _check_compatible(model, params, gt)
-    _, _, pi_a, pi_d = _cell_distributions(params)
-    table = prediction_table(model)
-    return float(np.einsum("ij,ija,ijd,ijad->", gt.covariate_weights, pi_a, pi_d, table))
+    return _objective(_search_inputs(model, params, gt), params.action_logits, params.decision_logits)
 
 
 def exact_gradient(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth):
@@ -97,44 +112,48 @@ def exact_gradient(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
     ``V`` is the context value.  Returns ``(g_action, g_decision)`` with
     the same shapes as the logit matrices.
     """
-    _check_compatible(model, params, gt)
-    ctx_a, ctx_d, pi_a, pi_d = _cell_distributions(params)
-    table = prediction_table(model)
-    weights = gt.covariate_weights
-    mbar_a = np.einsum("ijd,ijad->ija", pi_d, table)
-    mbar_d = np.einsum("ija,ijad->ijd", pi_a, table)
+    inputs = _search_inputs(model, params, gt)
+    pi_a = softmax_rows(params.action_logits)[inputs.grid_a]
+    pi_d = softmax_rows(params.decision_logits)[inputs.grid_d]
+    mbar_a = np.einsum("ijd,ijad->ija", pi_d, inputs.table)
+    mbar_d = np.einsum("ija,ijad->ijd", pi_a, inputs.table)
     value = np.einsum("ija,ija->ij", pi_a, mbar_a)
-    cells_a = weights[:, :, None] * pi_a * (mbar_a - value[:, :, None])
-    cells_d = weights[:, :, None] * pi_d * (mbar_d - value[:, :, None])
-    g_action = np.zeros_like(params.action_logits)
-    g_decision = np.zeros_like(params.decision_logits)
-    np.add.at(g_action, ctx_a.ravel(), cells_a.reshape(-1, pi_a.shape[-1]))
-    np.add.at(g_decision, ctx_d.ravel(), cells_d.reshape(-1, pi_d.shape[-1]))
+    cells_a = inputs.weights[:, :, None] * pi_a * (mbar_a - value[:, :, None])
+    cells_d = inputs.weights[:, :, None] * pi_d * (mbar_d - value[:, :, None])
+    g_action = _row_sums(inputs.grid_a, cells_a, len(params.action_logits))
+    g_decision = _row_sums(inputs.grid_d, cells_d, len(params.decision_logits))
     return g_action, g_decision
 
 
-def _sample_rows(p_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(p_rows, axis=1)
-    return np.minimum((cdf < u[:, None]).sum(axis=1), p_rows.shape[1] - 1)
+def _draw(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one column per sample from its row of ``probs``."""
+    cdf = np.cumsum(probs, axis=1)[rows]
+    return np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
-def _draw_batch(table, params, gt, rng, batch_size):
-    spec = params.spec
-    ctx_a, ctx_d, _, _ = _cell_distributions(params)
-    weight_cdf = np.cumsum(gt.covariate_weights.ravel())
-    flat = np.minimum(
-        np.searchsorted(weight_cdf, rng.random(batch_size), side="right"),
-        spec.k1 * spec.k2 - 1,
-    )
-    x1, x2 = np.divmod(flat, spec.k2)
-    rows_a = ctx_a[x1, x2]
-    rows_d = ctx_d[x1, x2]
-    pi_a = softmax_rows(params.action_logits)[rows_a]
-    pi_d = softmax_rows(params.decision_logits)[rows_d]
-    a = _sample_rows(pi_a, rng.random(batch_size))
-    d = _sample_rows(pi_d, rng.random(batch_size))
-    rewards = table[x1, x2, a, d]
-    return rows_a, rows_d, a, d, rewards, pi_a, pi_d
+def _score_sums(probs: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray) -> np.ndarray:
+    """Per-context-row sums of ``advantage * (onehot(chosen) - probs[row])``."""
+    score = -probs[rows]
+    score[np.arange(len(rows)), chosen] += 1.0
+    return _row_sums(rows, advantage[:, None] * score, len(probs))
+
+
+def _batch_gradient(inputs, action_logits, decision_logits, rng, batch_size, baseline_value):
+    # Uniforms are drawn for contexts, then actions, then decisions; the
+    # frozen two-decision seeds rest on this order.
+    n_cells = len(inputs.weight_cdf)
+    cells = np.minimum(np.searchsorted(inputs.weight_cdf, rng.random(batch_size), side="right"), n_cells - 1)
+    rows_a = inputs.grid_a.ravel()[cells]
+    rows_d = inputs.grid_d.ravel()[cells]
+    pi_a = softmax_rows(action_logits)
+    pi_d = softmax_rows(decision_logits)
+    a = _draw(pi_a, rows_a, rng.random(batch_size))
+    d = _draw(pi_d, rows_d, rng.random(batch_size))
+    rewards = inputs.table.reshape(n_cells, pi_a.shape[1], pi_d.shape[1])[cells, a, d]
+    advantage = rewards - baseline_value
+    g_action = _score_sums(pi_a, rows_a, a, advantage) / batch_size
+    g_decision = _score_sums(pi_d, rows_d, d, advantage) / batch_size
+    return g_action, g_decision, float(rewards.mean())
 
 
 def estimate_gradient(
@@ -152,24 +171,16 @@ def estimate_gradient(
     ``(reward - baseline_value) * (onehot - pi)`` to its context's logit
     row.  The estimate is unbiased for any ``baseline_value`` fixed before
     the batch.  Returns ``(g_action, g_decision, batch_mean_reward)``.
+
+    Runs the batch routine of every :func:`reinforce_optimize` iteration on
+    inputs built for this one call, so equal ``rng`` states give equal bits.
     """
-    _check_compatible(model, params, gt)
+    inputs = _search_inputs(model, params, gt)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    table = prediction_table(model)
-    rows_a, rows_d, a, d, rewards, pi_a, pi_d = _draw_batch(table, params, gt, rng, batch_size)
-    advantage = rewards - baseline_value
-    score_a = -pi_a
-    score_a[np.arange(batch_size), a] += 1.0
-    score_d = -pi_d
-    score_d[np.arange(batch_size), d] += 1.0
-    g_action = np.zeros_like(params.action_logits)
-    g_decision = np.zeros_like(params.decision_logits)
-    np.add.at(g_action, rows_a, advantage[:, None] * score_a)
-    np.add.at(g_decision, rows_d, advantage[:, None] * score_d)
-    g_action /= batch_size
-    g_decision /= batch_size
-    return g_action, g_decision, float(rewards.mean())
+    return _batch_gradient(
+        inputs, params.action_logits, params.decision_logits, rng, batch_size, baseline_value
+    )
 
 
 def reinforce_optimize(
@@ -185,10 +196,15 @@ def reinforce_optimize(
     exact objective falls more than 1e-6 below the initial one.  When
     ``config.trace_path`` is set, appends one CSV row per iteration with
     the exact objective and the estimated gradient's norm.
+
+    The reward table, context grids and covariate CDF are built once; each
+    iteration runs :func:`estimate_gradient`'s batch routine on the bare
+    logit matrices, which become a :class:`FactoredPolicyParams` at the end.
     """
-    _check_compatible(model, init, gt)
-    params = init.copy()
-    start = exact_objective(model, params, gt)
+    inputs = _search_inputs(model, init, gt)
+    action = init.action_logits.copy()
+    decision = init.decision_logits.copy()
+    start = _objective(inputs, action, decision)
     rng = np.random.default_rng(config.seed)
     baseline = 0.0
     have_baseline = False
@@ -199,17 +215,12 @@ def reinforce_optimize(
     try:
         for iteration in range(config.iterations):
             use_baseline = baseline if (config.baseline == "running-mean" and have_baseline) else 0.0
-            g_action, g_decision, batch_mean = estimate_gradient(
-                model, params, gt, rng, config.batch_size, baseline_value=use_baseline
+            g_action, g_decision, batch_mean = _batch_gradient(
+                inputs, action, decision, rng, config.batch_size, use_baseline
             )
-            params = FactoredPolicyParams(
-                spec=params.spec,
-                action_context=params.action_context,
-                decision_context=params.decision_context,
-                action_logits=params.action_logits + config.learning_rate * g_action,
-                decision_logits=params.decision_logits + config.learning_rate * g_decision,
-            )
-            if not (np.all(np.isfinite(params.action_logits)) and np.all(np.isfinite(params.decision_logits))):
+            action += config.learning_rate * g_action
+            decision += config.learning_rate * g_decision
+            if not (np.all(np.isfinite(action)) and np.all(np.isfinite(decision))):
                 raise RuntimeError("policy search diverged: non-finite logits")
             if config.baseline == "running-mean":
                 if have_baseline:
@@ -219,14 +230,14 @@ def reinforce_optimize(
                     have_baseline = True
             if trace is not None:
                 norm = float(np.sqrt((g_action ** 2).sum() + (g_decision ** 2).sum()))
-                objective = exact_objective(model, params, gt)
+                objective = _objective(inputs, action, decision)
                 trace.write(f"{iteration},{objective!r},{norm!r}\n")
     finally:
         if trace is not None:
             trace.close()
-    final = exact_objective(model, params, gt)
+    final = _objective(inputs, action, decision)
     if not np.isfinite(final) or final < start - 1e-6:
         raise RuntimeError(
             f"policy search failed to hold its ground: objective {start:.6f} -> {final:.6f}"
         )
-    return params
+    return replace(init, action_logits=action, decision_logits=decision)

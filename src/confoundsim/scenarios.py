@@ -29,7 +29,7 @@ from .environment import (
     make_default_ground_truth,
     oracle_policy,
 )
-from .features import CategoricalSpec, FeatureSpec, context_count
+from .features import CategoricalSpec, FeatureSpec, _covariate_union, context_count
 from .glm import (
     TARGET_CLICK,
     TARGET_SALE_GIVEN_CLICK,
@@ -396,13 +396,6 @@ def _argmax_policy(spec: CategoricalSpec, score: np.ndarray, visibility, source:
     return Policy(spec=spec, probs=probs, visibility=visibility, epsilon=None, source=source)
 
 
-def _union_visibility(*subsets) -> tuple:
-    names = set()
-    for subset in subsets:
-        names.update(subset)
-    return tuple(sorted(names, key=("x1", "x2").index))
-
-
 def scenario_click_sale(
     cfg: ScenarioConfig,
     x_prime=("x1",),
@@ -434,7 +427,7 @@ def scenario_click_sale(
         sale_model = fit(log, FeatureSpec(sale_feats, ("a",), cfg.spec), target=TARGET_SALE_GIVEN_CLICK)
         click_model = fit(log, FeatureSpec(click_feats, ("a",), cfg.spec), target=TARGET_CLICK)
         score = prediction_table(sale_model) * prediction_table(click_model)
-        return _argmax_policy(cfg.spec, score, _union_visibility(sale_feats, click_feats), source)
+        return _argmax_policy(cfg.spec, score, _covariate_union(sale_feats, click_feats), source)
 
     mismatched = product_policy(x_prime, x_dprime, "product(mismatched)")
     full = product_policy(("x1", "x2"), ("x1", "x2"), "product(full)")
@@ -524,7 +517,7 @@ def scenario_two_decision(
     independent_pol = Policy(
         spec=spec,
         probs=probs,
-        visibility=_union_visibility(x_prime, x_dprime),
+        visibility=_covariate_union(x_prime, x_dprime),
         source="independent_factored",
     )
 

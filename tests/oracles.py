@@ -6,8 +6,11 @@ closed-form log-odds, exhaustive joint-table marginalization instead of
 graph traversal, pure-Python loops with ``math.exp`` instead of
 vectorized einsums, central finite differences instead of analytic
 gradients, raw-row tallies instead of fitted-model counts for the
-support and standard error of a backdoor adjustment, and one
-``json.dumps`` per row instead of the columnar NDJSON formatter.  Tests
+support and standard error of a backdoor adjustment, one
+``json.dumps`` per row instead of the columnar NDJSON formatter, and a
+REINFORCE loop that rebuilds its inputs every iteration and scatters
+with ``np.add.at`` instead of the search that builds them once and
+accumulates with ``bincount``.  Tests
 freeze oracle outputs as literals wherever the value is a single number,
 so a regression in the oracle itself cannot mask a regression in the
 library.
@@ -20,6 +23,10 @@ import json
 import math
 
 import numpy as np
+
+from confoundsim import FactoredPolicyParams
+from confoundsim.glm import prediction_table
+from confoundsim.numerics import softmax_rows
 
 LOGIT_CAP = 15.0
 
@@ -327,3 +334,110 @@ def ndjson_reference(log) -> str:
             record["arm"] = arm_letters[int(log.arm[i])]
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def _reference_objective(model, params, gt) -> float:
+    ctx_a, ctx_d = params.context_grids()
+    pi_a = softmax_rows(params.action_logits)[ctx_a]
+    pi_d = softmax_rows(params.decision_logits)[ctx_d]
+    table = prediction_table(model)
+    return float(np.einsum("ij,ija,ijd,ijad->", gt.covariate_weights, pi_a, pi_d, table))
+
+
+def _reference_sample_rows(p_rows, u):
+    cdf = np.cumsum(p_rows, axis=1)
+    return np.minimum((cdf < u[:, None]).sum(axis=1), p_rows.shape[1] - 1)
+
+
+def estimate_gradient_reference(model, params, gt, rng, batch_size, baseline_value=0.0):
+    """One REINFORCE batch by the per-batch route.
+
+    Rebuilds the reward table, context grids and covariate CDF, gathers a
+    softmax row per sample and takes its CDF, and scatters the score terms
+    with ``np.add.at``.  Draws context, action and decision uniforms in
+    that order.  Returns ``(g_action, g_decision, batch_mean_reward)``.
+    """
+    spec = params.spec
+    table = prediction_table(model)
+    ctx_a, ctx_d = params.context_grids()
+    weight_cdf = np.cumsum(gt.covariate_weights.ravel())
+    flat = np.minimum(
+        np.searchsorted(weight_cdf, rng.random(batch_size), side="right"),
+        spec.k1 * spec.k2 - 1,
+    )
+    x1, x2 = np.divmod(flat, spec.k2)
+    rows_a = ctx_a[x1, x2]
+    rows_d = ctx_d[x1, x2]
+    pi_a = softmax_rows(params.action_logits)[rows_a]
+    pi_d = softmax_rows(params.decision_logits)[rows_d]
+    a = _reference_sample_rows(pi_a, rng.random(batch_size))
+    d = _reference_sample_rows(pi_d, rng.random(batch_size))
+    rewards = table[x1, x2, a, d]
+    advantage = rewards - baseline_value
+    score_a = -pi_a
+    score_a[np.arange(batch_size), a] += 1.0
+    score_d = -pi_d
+    score_d[np.arange(batch_size), d] += 1.0
+    g_action = np.zeros_like(params.action_logits)
+    g_decision = np.zeros_like(params.decision_logits)
+    np.add.at(g_action, rows_a, advantage[:, None] * score_a)
+    np.add.at(g_decision, rows_d, advantage[:, None] * score_d)
+    g_action /= batch_size
+    g_decision /= batch_size
+    return g_action, g_decision, float(rewards.mean())
+
+
+def reinforce_reference(model, init, config, gt):
+    """Stochastic ascent by the per-iteration route.
+
+    Every iteration runs :func:`estimate_gradient_reference` and rebuilds
+    and validates a ``FactoredPolicyParams``; the trace rows recompute
+    the exact objective from scratch.  Same settings, RNG, guard and trace
+    format as ``reinforce_optimize``.
+    """
+    params = FactoredPolicyParams(
+        init.spec, init.action_context, init.decision_context,
+        init.action_logits.copy(), init.decision_logits.copy(),
+    )
+    start = _reference_objective(model, params, gt)
+    rng = np.random.default_rng(config.seed)
+    baseline = 0.0
+    have_baseline = False
+    trace = None
+    if config.trace_path is not None:
+        trace = open(config.trace_path, "w", encoding="utf-8")
+        trace.write("iteration,exact_objective,gradient_norm\n")
+    try:
+        for iteration in range(config.iterations):
+            use_baseline = baseline if (config.baseline == "running-mean" and have_baseline) else 0.0
+            g_action, g_decision, batch_mean = estimate_gradient_reference(
+                model, params, gt, rng, config.batch_size, baseline_value=use_baseline
+            )
+            params = FactoredPolicyParams(
+                spec=params.spec,
+                action_context=params.action_context,
+                decision_context=params.decision_context,
+                action_logits=params.action_logits + config.learning_rate * g_action,
+                decision_logits=params.decision_logits + config.learning_rate * g_decision,
+            )
+            if not (np.all(np.isfinite(params.action_logits)) and np.all(np.isfinite(params.decision_logits))):
+                raise RuntimeError("policy search diverged: non-finite logits")
+            if config.baseline == "running-mean":
+                if have_baseline:
+                    baseline = config.baseline_decay * baseline + (1.0 - config.baseline_decay) * batch_mean
+                else:
+                    baseline = batch_mean
+                    have_baseline = True
+            if trace is not None:
+                norm = float(np.sqrt((g_action ** 2).sum() + (g_decision ** 2).sum()))
+                objective = _reference_objective(model, params, gt)
+                trace.write(f"{iteration},{objective!r},{norm!r}\n")
+    finally:
+        if trace is not None:
+            trace.close()
+    final = _reference_objective(model, params, gt)
+    if not np.isfinite(final) or final < start - 1e-6:
+        raise RuntimeError(
+            f"policy search failed to hold its ground: objective {start:.6f} -> {final:.6f}"
+        )
+    return params

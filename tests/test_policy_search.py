@@ -1,5 +1,7 @@
 """Policy-search tests: exact objective/gradient oracles and the ascent loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,17 @@ from confoundsim import (
     exact_objective,
     reinforce_optimize,
 )
+from confoundsim.features import context_count
 from confoundsim.glm import prediction_table
 from confoundsim.numerics import softmax_rows
-from oracles import best_deterministic_factored, central_difference, enum_factored_objective
+from confoundsim.policy_search import BASELINES
+from oracles import (
+    best_deterministic_factored,
+    central_difference,
+    enum_factored_objective,
+    estimate_gradient_reference,
+    reinforce_reference,
+)
 
 SPEC = CategoricalSpec(k1=2, k2=2, n_actions=2, n_decisions=2)
 
@@ -79,6 +89,27 @@ class TestSearchConfig:
             SearchConfig(baseline_decay=1.0)
         with pytest.raises(ValueError):
             SearchConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("-inf")),
+            ("iterations", 1.5),
+            ("iterations", 2.0),
+            ("batch_size", 2.5),
+            ("batch_size", 8.0),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejects_non_finite_rate_and_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = SearchConfig(iterations=np.int64(3), batch_size=np.int32(5))
+        assert (cfg.iterations, cfg.batch_size) == (3, 5)
 
 
 class TestExactObjective:
@@ -249,3 +280,75 @@ class TestReinforceOptimize:
         assert lines[0] == "iteration,exact_objective,gradient_norm"
         assert len(lines) == 51
         assert lines[1].startswith("0,")
+
+
+CONTRACT_SPEC = CategoricalSpec(k1=3, k2=2, n_actions=3, n_decisions=2)
+CONTEXTS = [(), ("x1",), ("x2",), ("x1", "x2")]
+
+
+def contract_instance(action_context, decision_context):
+    """A random dense model, skewed covariate weights and interior logits."""
+    spec = CONTRACT_SPEC
+    rng = np.random.default_rng(7)
+    model = FittedModel(
+        FeatureSpec(("x1", "x2"), ("a", "d"), spec), rng.normal(size=36), "click", (0, 0), 0
+    )
+    gt = GroundTruth(
+        spec=spec,
+        p_x1=rng.dirichlet(np.ones(3)),
+        p_x2_given_x1=rng.dirichlet(np.ones(2), size=3),
+        click_logit=np.zeros((3, 2, 3, 2)),
+    )
+    init = FactoredPolicyParams(
+        spec,
+        action_context,
+        decision_context,
+        rng.normal(size=(context_count(action_context, spec), 3)),
+        rng.normal(size=(context_count(decision_context, spec), 2)),
+    )
+    return model, init, gt
+
+
+def search_outcome(search, model, init, config, gt, trace_path):
+    """Final logit bytes (or the guard's message) and the trace bytes."""
+    try:
+        final = search(model, init, config, gt)
+        result = (final.action_logits.tobytes(), final.decision_logits.tobytes())
+    except RuntimeError as exc:
+        result = str(exc)
+    return result, trace_path.read_bytes() if trace_path is not None else None
+
+
+class TestByteContract:
+    """The search must reproduce the per-iteration reference loop bit for
+    bit: the frozen two-decision verdicts and the benchmark digests rest on
+    the final logits."""
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    @pytest.mark.parametrize("decision_context", CONTEXTS)
+    @pytest.mark.parametrize("action_context", CONTEXTS)
+    def test_final_logits_match_reference(self, tmp_path, action_context, decision_context, baseline):
+        model, init, gt = contract_instance(action_context, decision_context)
+        for batch_size, iterations, traced in itertools.product((1, 7, 1024), (0, 1, 50), (False, True)):
+            outcomes = []
+            for name, search in (("search", reinforce_optimize), ("reference", reinforce_reference)):
+                path = tmp_path / f"{name}.csv" if traced else None
+                config = SearchConfig(
+                    iterations=iterations,
+                    batch_size=batch_size,
+                    baseline=baseline,
+                    seed=5,
+                    trace_path=None if path is None else str(path),
+                )
+                outcomes.append(search_outcome(search, model, init, config, gt, path))
+            assert outcomes[0] == outcomes[1], (batch_size, iterations, traced)
+
+    @pytest.mark.parametrize("baseline_value", [0.0, 0.3])
+    @pytest.mark.parametrize("contexts", list(itertools.product(CONTEXTS, CONTEXTS)))
+    def test_estimate_gradient_matches_reference(self, contexts, baseline_value):
+        model, params, gt = contract_instance(*contexts)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        g_a, g_d, mean = estimate_gradient(model, params, gt, rng, 1024, baseline_value)
+        r_a, r_d, r_mean = estimate_gradient_reference(model, params, gt, ref_rng, 1024, baseline_value)
+        assert (g_a.tobytes(), g_d.tobytes(), mean) == (r_a.tobytes(), r_d.tobytes(), r_mean)
+        assert rng.random() == ref_rng.random()
