@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +32,7 @@ from .scenarios import (
     scenario_two_decision,
 )
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 REPORT_COLUMNS = (
     "scenario",
@@ -55,28 +54,6 @@ COMPARISON_COLUMNS = ("scenario", "variant", "true_value", "model_value", "detai
 
 class UsageError(ValueError):
     """Flag combination or value the command line cannot accept."""
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's artifacts byte for byte."""
-
-    scenario: str
-    version: str
-    seed: int
-    config: dict
-    artifacts: dict
-    ground_truth_fingerprint: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "ground_truth_fingerprint": self.ground_truth_fingerprint,
-        }
 
 
 def _fmt(value) -> str:
@@ -144,10 +121,7 @@ def _parse_subset(text: str) -> tuple:
 
 
 def _out_dir(args, name: str) -> Path:
-    root = args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs"
-    path = Path(root) / name
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs") / name
 
 
 def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
@@ -165,59 +139,80 @@ def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
     )
 
 
-def _base_config_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "k1": cfg.spec.k1,
-        "k2": cfg.spec.k2,
-        "actions": cfg.spec.n_actions,
-        "decisions": cfg.spec.n_decisions,
-        "samples_per_day": cfg.samples_per_day,
-        "epsilon": cfg.epsilon,
-        "min_gap": cfg.min_gap,
-        "days": cfg.days,
+def _emit(
+    args, scenario: str, cfg: ScenarioConfig, result, summary: dict, reports, entries=(), **config
+) -> Path:
+    """Write a finished scenario's artifact tree under ``--out/<scenario>``.
+
+    ``reports`` are ``(regime, DayReport)`` pairs for ``reports.csv``;
+    ``entries``, when given, become ``comparison.csv``.  ``summary.json``
+    gets ``summary`` plus the scenario name, ``log.ndjson`` is written under
+    ``--dump-log``, and ``manifest.json`` records the base configuration
+    extended by ``config``.  Returns the path of the main table.
+    """
+    out = _out_dir(args, scenario)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = {"reports": "reports.csv", "summary": "summary.json"}
+    _write_csv(out / "reports.csv", REPORT_COLUMNS, [_report_row(scenario, regime, r) for regime, r in reports])
+    if entries:
+        rows = [
+            {
+                "scenario": scenario,
+                "variant": e.variant,
+                "true_value": e.value,
+                "model_value": e.model_value,
+                "detail": e.detail.replace(",", ";"),
+            }
+            for e in entries
+        ]
+        _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
+        artifacts["comparison"] = "comparison.csv"
+    _write_json(out / "summary.json", {"scenario": scenario, **summary})
+    if getattr(args, "trace", False):
+        artifacts["trace"] = "trace.csv"
+    if args.dump_log:
+        with open(out / "log.ndjson", "w", encoding="utf-8") as fh:
+            result.log.to_ndjson(fh)
+        artifacts["log"] = "log.ndjson"
+    manifest = {
+        "scenario": scenario,
+        "version": __version__,
+        "seed": cfg.seed,
+        "config": {
+            "k1": cfg.spec.k1,
+            "k2": cfg.spec.k2,
+            "actions": cfg.spec.n_actions,
+            "decisions": cfg.spec.n_decisions,
+            "samples_per_day": cfg.samples_per_day,
+            "epsilon": cfg.epsilon,
+            "min_gap": cfg.min_gap,
+            "days": cfg.days,
+            **config,
+        },
+        "artifacts": artifacts,
+        "ground_truth_fingerprint": result.gt.fingerprint(),
     }
-
-
-def _maybe_dump_log(args, out: Path, log, artifacts: dict):
-    if getattr(args, "dump_log", False):
-        path = out / "log.ndjson"
-        with open(path, "w", encoding="utf-8") as fh:
-            log.to_ndjson(fh)
-        artifacts["log"] = path.name
+    _write_json(out / "manifest.json", manifest)
+    return out / artifacts.get("comparison", "reports.csv")
 
 
 def cmd_feature_engineering(args) -> int:
     cfg = _scenario_config(args)
     result = scenario_feature_engineering(cfg)
-    out = _out_dir(args, "feature_engineering")
-    rows = [_report_row("feature_engineering", "", r) for r in result.reports]
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, rows)
     rate = {r.day: r.expected_ctr for r in result.reports}
     summary = {
-        "scenario": "feature_engineering",
         "confounding_gap": result.gt.gap,
         "expected_ctr_by_day": {str(d): rate[d] for d in sorted(rate)},
         "dip_day3_vs_day1": (rate[1] - rate[3]) if 3 in rate and 1 in rate else None,
         "days": [r.to_dict() for r in result.reports],
     }
-    _write_json(out / "summary.json", summary)
-    artifacts = {"reports": "reports.csv", "summary": "summary.json"}
-    _maybe_dump_log(args, out, result.log, artifacts)
-    manifest = RunManifest(
-        scenario="feature_engineering",
-        version=__version__,
-        seed=cfg.seed,
-        config=_base_config_dict(cfg),
-        artifacts=artifacts,
-        ground_truth_fingerprint=result.gt.fingerprint(),
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    path = _emit(args, "feature_engineering", cfg, result, summary, [("", r) for r in result.reports])
     for r in result.reports:
         print(
             f"day {r.day}: expected_ctr {r.expected_ctr:.6f} empirical {r.empirical_ctr:.6f}"
             f" features {'+'.join(r.features_used) or '-'}"
         )
-    print(f"wrote {out}/reports.csv")
+    print(f"wrote {path}")
     return 0
 
 
@@ -228,71 +223,33 @@ def cmd_ab_test(args) -> int:
             "so pick --shared-log or --separate-logs"
         )
     cfg = _scenario_config(args)
-    if args.both:
-        regimes = [True, False]
-    elif args.shared_log:
-        regimes = [True]
-    else:
-        regimes = [False]
-    out = _out_dir(args, "ab_test")
-    rows = []
-    summary_regimes = {}
-    fingerprint = None
-    for shared in regimes:
+    results = {}
+    for shared in (True, False) if args.both else (args.shared_log,):
         result = scenario_ab_test(cfg, shared_log=shared)
-        regime = "shared" if shared else "separate"
-        fingerprint = result.gt.fingerprint()
-        for r in result.common_reports:
-            rows.append(_report_row("ab_test", regime, r))
-        for day_pair in zip(result.arm_reports["A"], result.arm_reports["B"]):
-            for r in day_pair:
-                rows.append(_report_row("ab_test", regime, r))
-        summary_regimes[regime] = {
-            "common_expected_ctr": [r.expected_ctr for r in result.common_reports],
-            "arm_a_expected_ctr": [r.expected_ctr for r in result.arm_reports["A"]],
-            "arm_b_expected_ctr": [r.expected_ctr for r in result.arm_reports["B"]],
-        }
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, rows)
+        results["shared" if shared else "separate"] = result
     summary = {
-        "scenario": "ab_test",
         "ab_start_day": cfg.ab_start_day,
-        "regimes": summary_regimes,
+        "regimes": {
+            regime: {
+                "common_expected_ctr": [r.expected_ctr for r in res.common_reports],
+                "arm_a_expected_ctr": [r.expected_ctr for r in res.arm_reports["A"]],
+                "arm_b_expected_ctr": [r.expected_ctr for r in res.arm_reports["B"]],
+            }
+            for regime, res in results.items()
+        },
     }
-    _write_json(out / "summary.json", summary)
-    artifacts = {"reports": "reports.csv", "summary": "summary.json"}
-    _maybe_dump_log(args, out, result.log, artifacts)
-    config = _base_config_dict(cfg)
-    config["ab_start_day"] = cfg.ab_start_day
-    config["regimes"] = sorted(summary_regimes)
-    manifest = RunManifest(
-        scenario="ab_test",
-        version=__version__,
-        seed=cfg.seed,
-        config=config,
-        artifacts=artifacts,
-        ground_truth_fingerprint=fingerprint,
+    reports = [(regime, r) for regime, res in results.items() for r in res.reports]
+    # Both regimes share one environment, and only a single regime may dump
+    # its log, so the last result speaks for the run.
+    path = _emit(
+        args, "ab_test", cfg, result, summary, reports,
+        ab_start_day=cfg.ab_start_day, regimes=sorted(results),
     )
-    _write_json(out / "manifest.json", manifest.to_dict())
-    for regime, series in sorted(summary_regimes.items()):
+    for regime, series in sorted(summary["regimes"].items()):
         arm_a = " ".join(f"{v:.6f}" for v in series["arm_a_expected_ctr"])
         print(f"{regime} arm A expected_ctr by day: {arm_a}")
-    print(f"wrote {out}/reports.csv")
+    print(f"wrote {path}")
     return 0
-
-
-def _comparison_rows(scenario: str, entries) -> list:
-    rows = []
-    for e in entries:
-        rows.append(
-            {
-                "scenario": scenario,
-                "variant": e.variant,
-                "true_value": e.value,
-                "model_value": e.model_value,
-                "detail": e.detail.replace(",", ";"),
-            }
-        )
-    return rows
 
 
 def cmd_click_sale(args) -> int:
@@ -300,33 +257,12 @@ def cmd_click_sale(args) -> int:
     x_prime = _parse_subset(args.x_prime)
     x_dprime = _parse_subset(args.x_dprime)
     result = scenario_click_sale(cfg, x_prime=x_prime, x_dprime=x_dprime)
-    out = _out_dir(args, "click_sale")
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, [_report_row("click_sale", "", result.log_report)])
-    _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, _comparison_rows("click_sale", result.entries))
-    summary = {
-        "scenario": "click_sale",
-        "x_prime": _subset_text(result.x_prime),
-        "x_dprime": _subset_text(result.x_dprime),
-        "values": {e.variant: e.value for e in result.entries},
-    }
-    _write_json(out / "summary.json", summary)
-    artifacts = {"reports": "reports.csv", "comparison": "comparison.csv", "summary": "summary.json"}
-    _maybe_dump_log(args, out, result.log, artifacts)
-    config = _base_config_dict(cfg)
-    config["x_prime"] = _subset_text(result.x_prime)
-    config["x_dprime"] = _subset_text(result.x_dprime)
-    manifest = RunManifest(
-        scenario="click_sale",
-        version=__version__,
-        seed=cfg.seed,
-        config=config,
-        artifacts=artifacts,
-        ground_truth_fingerprint=result.gt.fingerprint(),
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
+    summary = {**views, "values": {e.variant: e.value for e in result.entries}}
+    path = _emit(args, "click_sale", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     for e in result.entries:
         print(f"{e.variant}: post-click sale rate {e.value:.6f} ({e.detail})")
-    print(f"wrote {out}/comparison.csv")
+    print(f"wrote {path}")
     return 0
 
 
@@ -334,43 +270,26 @@ def cmd_two_decision(args) -> int:
     cfg = _scenario_config(args, n_decisions=args.decisions)
     x_prime = _parse_subset(args.x_prime)
     x_dprime = _parse_subset(args.x_dprime)
-    out = _out_dir(args, "two_decision")
-    search = default_two_decision_search(
-        cfg.seed,
-        trace_path=str(out / "trace.csv") if args.trace else None,
-    )
+    trace_path = None
+    if args.trace:
+        # The search writes its trace as it runs, so the directory comes first.
+        out = _out_dir(args, "two_decision")
+        out.mkdir(parents=True, exist_ok=True)
+        trace_path = str(out / "trace.csv")
+    search = default_two_decision_search(cfg.seed, trace_path=trace_path)
     result = scenario_two_decision(cfg, x_prime=x_prime, x_dprime=x_dprime, search=search)
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, [_report_row("two_decision", "", result.log_report)])
-    _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, _comparison_rows("two_decision", result.entries))
+    views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
     summary = {
-        "scenario": "two_decision",
-        "x_prime": _subset_text(result.x_prime),
-        "x_dprime": _subset_text(result.x_dprime),
+        **views,
         "true_values": {e.variant: e.value for e in result.entries},
         "model_values": {e.variant: e.model_value for e in result.entries},
         "final_action_logits": result.final_params.action_logits.tolist(),
         "final_decision_logits": result.final_params.decision_logits.tolist(),
     }
-    _write_json(out / "summary.json", summary)
-    artifacts = {"reports": "reports.csv", "comparison": "comparison.csv", "summary": "summary.json"}
-    if args.trace:
-        artifacts["trace"] = "trace.csv"
-    _maybe_dump_log(args, out, result.log, artifacts)
-    config = _base_config_dict(cfg)
-    config["x_prime"] = _subset_text(result.x_prime)
-    config["x_dprime"] = _subset_text(result.x_dprime)
-    manifest = RunManifest(
-        scenario="two_decision",
-        version=__version__,
-        seed=cfg.seed,
-        config=config,
-        artifacts=artifacts,
-        ground_truth_fingerprint=result.gt.fingerprint(),
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    path = _emit(args, "two_decision", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     for e in result.entries:
         print(f"{e.variant}: true {e.value:.6f} model {e.model_value:.6f}")
-    print(f"wrote {out}/comparison.csv")
+    print(f"wrote {path}")
     return 0
 
 

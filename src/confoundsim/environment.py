@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import CategoricalSpec
-from .numerics import PROB_ATOL, sigmoid
-from .policy import Policy
+from .numerics import PROB_ATOL, inverse_cdf, sigmoid
+from .policy import Policy, greedy_policy
 
 __all__ = [
     "ConfoundingGapReport",
@@ -88,11 +88,8 @@ class GroundTruth:
             raise ValueError("p_x1 must have shape (k1,)")
         if self.p_x2_given_x1.shape != (spec.k1, spec.k2):
             raise ValueError("p_x2_given_x1 must have shape (k1, k2)")
-        click_shape = (spec.k1, spec.k2, spec.n_actions)
-        if spec.n_decisions is not None:
-            click_shape = click_shape + (spec.n_decisions,)
-        if self.click_logit.shape != click_shape:
-            raise ValueError(f"click_logit must have shape {click_shape}")
+        if self.click_logit.shape != spec.cell_shape:
+            raise ValueError(f"click_logit must have shape {spec.cell_shape}")
         if self.sale_logit is not None and self.sale_logit.shape != (spec.k1, spec.k2, spec.n_actions):
             raise ValueError("sale_logit must have shape (k1, k2, n_actions)")
         if np.any(self.p_x1 < 0) or abs(self.p_x1.sum() - 1.0) > PROB_ATOL:
@@ -248,16 +245,13 @@ def make_default_ground_truth(
     if not 0.0 <= min_gap <= 0.2:
         raise ValueError("min_gap must lie in [0, 0.2]")
     rng = np.random.default_rng(seed)
-    click_shape = (spec.k1, spec.k2, spec.n_actions)
-    if spec.n_decisions is not None:
-        click_shape = click_shape + (spec.n_decisions,)
     lo, hi = LOGIT_RANGE
     for _ in range(max_rounds):
         candidate = GroundTruth(
             spec=spec,
             p_x1=rng.dirichlet(np.ones(spec.k1)),
             p_x2_given_x1=rng.dirichlet(np.ones(spec.k2), size=spec.k1),
-            click_logit=rng.uniform(lo, hi, size=click_shape),
+            click_logit=rng.uniform(lo, hi, size=spec.cell_shape),
             sale_logit=rng.uniform(lo, hi, size=(spec.k1, spec.k2, spec.n_actions)) if with_sales else None,
         )
         gap = confounding_gap(candidate)
@@ -333,10 +327,7 @@ def sample_context(gt: GroundTruth, rng: np.random.Generator, size=None):
     if size is None:
         x2 = rng.choice(gt.spec.k2, p=gt.p_x2_given_x1[x1])
         return int(x1), int(x2)
-    cdf = np.cumsum(gt.p_x2_given_x1, axis=1)[x1]
-    u = rng.random(size)
-    x2 = np.minimum((cdf < u[:, None]).sum(axis=1), gt.spec.k2 - 1)
-    return x1, x2
+    return x1, inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], rng.random(size))
 
 
 def true_click_prob(gt: GroundTruth, x1, x2, a, d=None):
@@ -390,7 +381,6 @@ def oracle_policy(gt: GroundTruth, visibility) -> Policy:
     """
     cells = _click_cells(gt)
     spec = gt.spec
-    n_cells = cells.shape[-1]
     vis = tuple(visibility)
     if vis == ("x1", "x2"):
         best = np.argmax(cells, axis=-1)
@@ -407,9 +397,4 @@ def oracle_policy(gt: GroundTruth, visibility) -> Policy:
         best = np.full((spec.k1, spec.k2), np.argmax(score))
     else:
         raise ValueError(f"visibility must be a canonical subset of ('x1', 'x2'), got {vis!r}")
-    probs = np.zeros((spec.k1, spec.k2, n_cells))
-    i, j = np.meshgrid(np.arange(spec.k1), np.arange(spec.k2), indexing="ij")
-    probs[i, j, best] = 1.0
-    if spec.n_decisions is not None:
-        probs = probs.reshape(spec.k1, spec.k2, spec.n_actions, spec.n_decisions)
-    return Policy(spec=spec, probs=probs, visibility=vis, epsilon=None, source="oracle")
+    return greedy_policy(spec, best, vis, "oracle")

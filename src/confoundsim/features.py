@@ -94,6 +94,12 @@ class CategoricalSpec:
         """Number of joint action cells (``n_actions`` times ``n_decisions``)."""
         return self.n_actions * (self.n_decisions or 1)
 
+    @property
+    def cell_shape(self) -> tuple:
+        """Shape ``(k1, k2, n_actions[, n_decisions])`` of a per-cell table."""
+        shape = (self.k1, self.k2, self.n_actions)
+        return shape if self.n_decisions is None else shape + (self.n_decisions,)
+
     def to_dict(self) -> dict:
         return {
             "k1": int(self.k1),

@@ -197,23 +197,9 @@ def prediction_table(model: FittedModel) -> np.ndarray:
     Factors the model does not include are broadcast, so the table is
     constant along them.
     """
-    spec = model.feature_spec.spec
-    shape = [spec.k1, spec.k2, spec.n_actions]
-    grids = [
-        np.arange(spec.k1)[:, None, None],
-        np.arange(spec.k2)[None, :, None],
-        np.arange(spec.n_actions)[None, None, :],
-    ]
-    if spec.n_decisions is not None:
-        shape.append(spec.n_decisions)
-        grids = [g[..., None] for g in grids]
-        grids.append(np.arange(spec.n_decisions)[None, None, None, :])
-    x1g, x2g, ag = grids[0], grids[1], grids[2]
-    dg = grids[3] if len(grids) == 4 else None
-    if "d" in model.feature_spec.action_factors:
-        out = predict(model, x1g, x2g, ag, dg)
-    else:
-        out = predict(model, x1g, x2g, ag)
+    shape = model.feature_spec.spec.cell_shape
+    # encode ignores a d grid when the model does not score d.
+    out = predict(model, *np.indices(shape, sparse=True))
     return np.broadcast_to(out, shape).copy()
 
 

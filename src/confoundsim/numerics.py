@@ -1,4 +1,4 @@
-"""Shared numeric helpers: capped sigmoid, softmax, tolerances."""
+"""Shared numeric helpers: capped sigmoid, softmax, inverse-CDF draws, tolerances."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "LOGIT_CAP",
     "PROB_ATOL",
+    "inverse_cdf",
     "sigmoid",
     "softmax_rows",
 ]
@@ -42,3 +43,12 @@ def softmax_rows(logits):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def inverse_cdf(cdf_rows, u):
+    """Column drawn by each ``u[n]`` from row ``n`` of ``cdf_rows``.
+
+    The draw is the number of CDF entries strictly below ``u[n]``, capped at
+    the last column so rounding in the final entry never runs off the row.
+    """
+    return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)

@@ -56,14 +56,12 @@ class Policy:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        expected = (self.spec.k1, self.spec.k2, self.spec.n_actions)
-        if self.spec.n_decisions is not None:
-            expected = expected + (self.spec.n_decisions,)
+        expected = self.spec.cell_shape
         if self.probs.shape != expected:
             raise ValueError(f"probs shape {self.probs.shape} does not match spec {expected}")
         if np.any(self.probs < 0):
             raise ValueError("action probabilities must be nonnegative")
-        sums = self.probs.reshape(self.spec.k1, self.spec.k2, -1).sum(axis=-1)
+        sums = self.cell_probs().sum(axis=-1)
         if np.any(np.abs(sums - 1.0) > PROB_ATOL):
             raise ValueError("per-context action probabilities must sum to one")
         vis = _canonical_subset(self.visibility, COVARIATE_FACTORS, "covariate")
@@ -108,24 +106,30 @@ class Policy:
 
 def uniform_policy(spec: CategoricalSpec) -> Policy:
     """Uniform exploration over all action cells; sees no covariates."""
-    shape = (spec.k1, spec.k2, spec.n_actions)
-    if spec.n_decisions is not None:
-        shape = shape + (spec.n_decisions,)
-    cells = spec.action_cells
     return Policy(
         spec=spec,
-        probs=np.full(shape, 1.0 / cells),
+        probs=np.full(spec.cell_shape, 1.0 / spec.action_cells),
         visibility=(),
         epsilon=None,
         source="uniform",
     )
 
 
-def greedy_cells(model: FittedModel) -> np.ndarray:
-    """Per-context argmax action cell of a model, lowest index on ties."""
-    table = prediction_table(model)
-    spec = model.feature_spec.spec
-    return np.argmax(table.reshape(spec.k1, spec.k2, -1), axis=-1)
+def greedy_policy(spec: CategoricalSpec, best, visibility, source: str, epsilon: float | None = None) -> Policy:
+    """Policy favouring one action cell per context.
+
+    ``best`` is a ``(k1, k2)`` array of flat action-cell indices.  Every
+    cell gets ``epsilon / cells`` and each context's best cell a further
+    ``1 - epsilon``; with ``epsilon`` None the policy is deterministic.
+    """
+    explore = 0.0 if epsilon is None else epsilon
+    cells = spec.action_cells
+    probs = np.full((spec.k1, spec.k2, cells), explore / cells)
+    i, j = np.indices((spec.k1, spec.k2), sparse=True)
+    probs[i, j, best] += 1.0 - explore
+    return Policy(
+        spec=spec, probs=probs.reshape(spec.cell_shape), visibility=visibility, epsilon=epsilon, source=source
+    )
 
 
 def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) -> Policy:
@@ -139,20 +143,8 @@ def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) ->
         raise ValueError("epsilon must lie in [0, 1]")
     if spec != model.feature_spec.spec:
         raise ValueError("policy spec does not match the model's spec")
-    cells = spec.action_cells
-    best = greedy_cells(model)
-    probs = np.full((spec.k1, spec.k2, cells), epsilon / cells)
-    i, j = np.meshgrid(np.arange(spec.k1), np.arange(spec.k2), indexing="ij")
-    probs[i, j, best] += 1.0 - epsilon
-    if spec.n_decisions is not None:
-        probs = probs.reshape(spec.k1, spec.k2, spec.n_actions, spec.n_decisions)
-    return Policy(
-        spec=spec,
-        probs=probs,
-        visibility=model.feature_spec.included,
-        epsilon=epsilon,
-        source=f"epsilon_greedy({model.target})",
-    )
+    best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)
+    return greedy_policy(spec, best, model.feature_spec.included, f"epsilon_greedy({model.target})", epsilon)
 
 
 def sample_action(policy: Policy, x1: int, x2: int, rng: np.random.Generator, size=None):

@@ -23,7 +23,7 @@ import numpy as np
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import softmax_rows
+from .numerics import inverse_cdf, softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -125,12 +125,6 @@ def exact_gradient(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
     return g_action, g_decision
 
 
-def _draw(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one column per sample from its row of ``probs``."""
-    cdf = np.cumsum(probs, axis=1)[rows]
-    return np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
-
-
 def _score_sums(probs: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray) -> np.ndarray:
     """Per-context-row sums of ``advantage * (onehot(chosen) - probs[row])``."""
     score = -probs[rows]
@@ -147,8 +141,8 @@ def _batch_gradient(inputs, action_logits, decision_logits, rng, batch_size, bas
     rows_d = inputs.grid_d.ravel()[cells]
     pi_a = softmax_rows(action_logits)
     pi_d = softmax_rows(decision_logits)
-    a = _draw(pi_a, rows_a, rng.random(batch_size))
-    d = _draw(pi_d, rows_d, rng.random(batch_size))
+    a = inverse_cdf(np.cumsum(pi_a, axis=1)[rows_a], rng.random(batch_size))
+    d = inverse_cdf(np.cumsum(pi_d, axis=1)[rows_d], rng.random(batch_size))
     rewards = inputs.table.reshape(n_cells, pi_a.shape[1], pi_d.shape[1])[cells, a, d]
     advantage = rewards - baseline_value
     g_action = _score_sums(pi_a, rows_a, a, advantage) / batch_size

@@ -38,8 +38,8 @@ from .glm import (
     prediction_table,
 )
 from .logs import ARM_CODES, Log
-from .numerics import sigmoid
-from .policy import FactoredPolicyParams, Policy, epsilon_greedy, to_joint, uniform_policy
+from .numerics import inverse_cdf, sigmoid
+from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
 from .streams import DayStream
 
@@ -78,7 +78,6 @@ class ScenarioConfig:
     min_gap: float = 0.02
     ab_start_day: int = 2
     days: int = 6
-    shared_log: bool = False
 
     def __post_init__(self):
         if self.samples_per_day < 1:
@@ -89,6 +88,8 @@ class ScenarioConfig:
             raise ValueError("days must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.min_gap <= 0.2:
+            raise ValueError("min_gap must lie in [0, 0.2]")
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,9 @@ def _simulate_chunk(gt: GroundTruth, policy: Policy, u: np.ndarray):
     spec = gt.spec
     cdf1 = np.cumsum(gt.p_x1)
     x1 = np.minimum(np.searchsorted(cdf1, u[:, 0], side="right"), spec.k1 - 1)
-    cdf2 = np.cumsum(gt.p_x2_given_x1, axis=1)[x1]
-    x2 = np.minimum((cdf2 < u[:, 1][:, None]).sum(axis=1), spec.k2 - 1)
+    x2 = inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], u[:, 1])
     cell_probs = policy.cell_probs()[x1, x2]
-    cdfa = np.cumsum(cell_probs, axis=1)
-    cell = np.minimum((cdfa < u[:, 2][:, None]).sum(axis=1), cell_probs.shape[1] - 1)
+    cell = inverse_cdf(np.cumsum(cell_probs, axis=1), u[:, 2])
     propensity = cell_probs[np.arange(len(cell)), cell]
     if spec.n_decisions is None:
         a, d = cell, None
@@ -322,7 +321,7 @@ def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")
 
 def scenario_ab_test(
     cfg: ScenarioConfig,
-    shared_log: bool | None = None,
+    shared_log: bool = False,
     arm_b_features=("x1", "x2"),
 ) -> ABResult:
     """A/B test in which arm A fits x1-only models and arm B x2-aware ones.
@@ -332,7 +331,6 @@ def scenario_ab_test(
     keeps retraining on arm B's x2-aware traffic; under separate logs each
     arm trains only on its own previous day.
     """
-    shared = cfg.shared_log if shared_log is None else bool(shared_log)
     if not 1 <= cfg.ab_start_day < cfg.days:
         raise ValueError("ab_start_day must lie in [1, days)")
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
@@ -371,29 +369,17 @@ def scenario_ab_test(
         arm_reports["A"].append(report_a)
         arm_reports["B"].append(report_b)
         all_logs.extend([log_a, log_b])
-        if shared:
+        if shared_log:
             train_a = train_b = Log.concat([log_a, log_b])
         else:
             train_a, train_b = log_a, log_b
     return ABResult(
         gt=gt,
-        shared_log=shared,
+        shared_log=shared_log,
         common_reports=common_reports,
         arm_reports=arm_reports,
         log=Log.concat(all_logs),
     )
-
-
-def _argmax_policy(spec: CategoricalSpec, score: np.ndarray, visibility, source: str) -> Policy:
-    """Deterministic policy putting all mass on each context's best cell."""
-    flat = score.reshape(spec.k1, spec.k2, -1)
-    best = np.argmax(flat, axis=-1)
-    probs = np.zeros_like(flat)
-    i, j = np.meshgrid(np.arange(spec.k1), np.arange(spec.k2), indexing="ij")
-    probs[i, j, best] = 1.0
-    if spec.n_decisions is not None:
-        probs = probs.reshape(spec.k1, spec.k2, spec.n_actions, spec.n_decisions)
-    return Policy(spec=spec, probs=probs, visibility=visibility, epsilon=None, source=source)
 
 
 def scenario_click_sale(
@@ -413,6 +399,8 @@ def scenario_click_sale(
     ``gt`` overrides the default environment draw, e.g. to study a
     separable mechanism; it must carry a sale mechanism.
     """
+    if cfg.spec.n_decisions is not None:
+        raise ValueError("click/sale study is defined for single-decision specs")
     if gt is None:
         gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap, with_sales=True)
     elif gt.spec != cfg.spec:
@@ -426,13 +414,13 @@ def scenario_click_sale(
     def product_policy(sale_feats, click_feats, source):
         sale_model = fit(log, FeatureSpec(sale_feats, ("a",), cfg.spec), target=TARGET_SALE_GIVEN_CLICK)
         click_model = fit(log, FeatureSpec(click_feats, ("a",), cfg.spec), target=TARGET_CLICK)
-        score = prediction_table(sale_model) * prediction_table(click_model)
-        return _argmax_policy(cfg.spec, score, _covariate_union(sale_feats, click_feats), source)
+        best = np.argmax(prediction_table(sale_model) * prediction_table(click_model), axis=-1)
+        return greedy_policy(cfg.spec, best, _covariate_union(sale_feats, click_feats), source)
 
     mismatched = product_policy(x_prime, x_dprime, "product(mismatched)")
     full = product_policy(("x1", "x2"), ("x1", "x2"), "product(full)")
-    oracle_score = sigmoid(gt.sale_logit) * sigmoid(gt.click_logit)
-    oracle = _argmax_policy(cfg.spec, oracle_score, ("x1", "x2"), "product(oracle)")
+    oracle_best = np.argmax(sigmoid(gt.sale_logit) * sigmoid(gt.click_logit), axis=-1)
+    oracle = greedy_policy(cfg.spec, oracle_best, ("x1", "x2"), "product(oracle)")
     entries = [
         ComparisonEntry(
             variant="mismatched",
@@ -507,18 +495,10 @@ def scenario_two_decision(
 
     action_model = fit(log, FeatureSpec(x_prime, ("a",), spec), target=TARGET_CLICK)
     decision_model = fit(log, FeatureSpec(x_dprime, ("d",), spec), target=TARGET_CLICK)
-    table_a = prediction_table(action_model)[:, :, :, 0]
-    table_d = prediction_table(decision_model)[:, :, 0, :]
-    best_a = np.argmax(table_a, axis=-1)
-    best_d = np.argmax(table_d, axis=-1)
-    probs = np.zeros((spec.k1, spec.k2, spec.n_actions, spec.n_decisions))
-    i, j = np.meshgrid(np.arange(spec.k1), np.arange(spec.k2), indexing="ij")
-    probs[i, j, best_a, best_d] = 1.0
-    independent_pol = Policy(
-        spec=spec,
-        probs=probs,
-        visibility=_covariate_union(x_prime, x_dprime),
-        source="independent_factored",
+    best_a = np.argmax(prediction_table(action_model)[:, :, :, 0], axis=-1)
+    best_d = np.argmax(prediction_table(decision_model)[:, :, 0, :], axis=-1)
+    independent_pol = greedy_policy(
+        spec, best_a * spec.n_decisions + best_d, _covariate_union(x_prime, x_dprime), "independent_factored"
     )
 
     init = FactoredPolicyParams(

@@ -1,5 +1,6 @@
 """Command-line interface tests: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -18,6 +19,43 @@ SMALL = [
     "--k2", "2",
     "--actions", "3",
 ]
+
+# SHA-256 of every file each invocation writes at the SMALL flags.  The
+# artifact bytes are the CLI's contract: a digest changes only with a
+# deliberate, documented change to what a scenario computes or writes.
+PINNED_TREES = {
+    ("feature-engineering", "--dump-log"): {
+        "feature_engineering/log.ndjson": "172a3c4424f1a2f337ca01361453b20d1d532131e03f8d3e071d90da3fdbaec8",
+        "feature_engineering/manifest.json": "6bc7a3ae3f0d5053eabd3313048ae8661c3406b545c9f58c5a904a6b8bf4515a",
+        "feature_engineering/reports.csv": "f246581af112519b5759c1ab4713b5d6b47ec397ef8b2fa29a458de6dc08667b",
+        "feature_engineering/summary.json": "e1994b45118d65452399e17b0b05795f95974612a882dc6e860908ba44527cbe",
+    },
+    ("ab-test", "--both"): {
+        "ab_test/manifest.json": "2f8ee2249eee7a9b67d13cc4ec54205ac1c7d1e2dc86ac1ba89ef9116612274f",
+        "ab_test/reports.csv": "c016548536952752d71e8c3380e53d13a7b6ba29f464a07bb1244a840341efeb",
+        "ab_test/summary.json": "4c370bd1f9951e9da628a61265e98e31551b845924fdd3b98337b864d39ddd0a",
+    },
+    ("ab-test", "--shared-log", "--dump-log"): {
+        "ab_test/log.ndjson": "a467537e18e8f73b37494663de402db45209690f998119224ffc1ce6d1d9c602",
+        "ab_test/manifest.json": "7e93611b3c661171cabfde3ec6d11a55e978d73f8caca8e0d35992f8de0802cc",
+        "ab_test/reports.csv": "9aa789eccc2f3122919c833d55d72da403db4480282ef3bf184f55f39b66ea67",
+        "ab_test/summary.json": "bceb0a0ae7b3bb20b8053120ee939a1c25bc1dcd4185c7f179d59b2431e58923",
+    },
+    ("click-sale", "--x-prime", "x2,x1", "--x-dprime", "none"): {
+        "click_sale/comparison.csv": "0cd1f0610810b6f8a2af5d26070f86e8620e01b4c65cc5eb4686afe5399209bd",
+        "click_sale/manifest.json": "4f5dc0e7205ce373700982dbb05a3e2f122c1fa9dd0f6c05625e6a653e67e7f6",
+        "click_sale/reports.csv": "601403fcde411f19788ac56aa3770b320ae9719d6182066cc02864884271f10a",
+        "click_sale/summary.json": "00350abc541b7dd72ab7fe9543622c683801d7f1d29d824dfa32cf08c4c7c10c",
+    },
+    ("two-decision", "--trace", "--dump-log"): {
+        "two_decision/comparison.csv": "8bdc62362a907cad189881d313dae7cdff7c5a92536346eb0f4a0003663d6682",
+        "two_decision/log.ndjson": "78918de70896978687b240adf31ea2ff0f678c033e708bb4c135efac40ac7aaf",
+        "two_decision/manifest.json": "d8cb144f8bd282f541daa12af740d21cc98c31b8959ddbfbb7b94e7b02398102",
+        "two_decision/reports.csv": "f4cf7d242ac6ce6c6a1c1b9b5d418868546866752e021a605444ac43dab0a557",
+        "two_decision/summary.json": "4ef7de12efff278a8ab6ce07e6812f714de6edf6775cbe187dc5c9d969ca2fb5",
+        "two_decision/trace.csv": "c9ac0799716dad9f0ff031ce408021cece5ca4c26c35df335479fe628f273d6b",
+    },
+}
 
 
 def run(capsys, *argv):
@@ -132,6 +170,7 @@ class TestABTest:
         )
         assert code == 2
         assert "error:" in err
+        assert not (tmp_path / "ab_test").exists()
 
 
 class TestClickSale:
@@ -188,6 +227,24 @@ class TestTwoDecision:
         first, second = (tree_bytes(d) for d in dirs)
         assert set(first) == set(second)
         assert all(first[name] == second[name] for name in first)
+
+    def test_invalid_min_gap_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "two-decision", "--trace", "--out", str(tmp_path), *SMALL, "--min-gap", "0.5"
+        )
+        assert code == 2
+        assert "min_gap must lie in [0, 0.2]" in err
+        assert not (tmp_path / "two_decision").exists()
+
+
+class TestArtifactBytes:
+    @pytest.mark.parametrize("argv", list(PINNED_TREES), ids=" ".join)
+    def test_artifact_tree_matches_pinned_digests(self, capsys, tmp_path, argv):
+        assert run(capsys, *argv, "--out", str(tmp_path), *SMALL)[0] == 0
+        digests = {
+            name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(tmp_path).items()
+        }
+        assert digests == PINNED_TREES[argv]
 
 
 class TestDagCheck:

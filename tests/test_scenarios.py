@@ -27,6 +27,7 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
+from confoundsim.numerics import inverse_cdf
 from conftest import all_reports, ndjson_text
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
@@ -86,6 +87,14 @@ class TestRunDay:
         assert report.features_used == ()
         assert report.regret == pytest.approx(report.oracle_ctr - report.expected_ctr)
         assert report.regret >= -1e-12
+
+    def test_inverse_cdf_ties_and_cap(self):
+        # The x2 and action-cell draws count the CDF entries strictly below
+        # u, so a u on an entry stays in that column, and a last entry that
+        # rounds short of 1.0 never sends a draw off the row.
+        u = np.array([0.25, 0.2500001, 0.5, 0.75, 1.0 - 2.0**-53])
+        cdf = np.tile([0.25, 0.5, 1.0 - 2.0**-52], (len(u), 1))
+        assert inverse_cdf(cdf, u).tolist() == [0, 1, 1, 2, 2]
 
     def test_empty_day_rejected(self):
         gt = make_default_ground_truth(SPEC, seed=0)
@@ -212,6 +221,9 @@ class TestClickSale:
         )
         with pytest.raises(ValueError):
             scenario_click_sale(cfg, gt=other)
+        two_decisions = CategoricalSpec(k1=2, k2=2, n_actions=3, n_decisions=2)
+        with pytest.raises(ValueError, match="single-decision"):
+            scenario_click_sale(ScenarioConfig(spec=two_decisions, samples_per_day=1000))
 
 
 def separable_two_decision_truth():
