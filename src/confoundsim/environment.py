@@ -322,7 +322,11 @@ def make_separable_ground_truth(
 
 
 def sample_context(gt: GroundTruth, rng: np.random.Generator, size=None):
-    """Draw ``(x1, x2)`` from the covariate mechanism."""
+    """Draw ``(x1, x2)`` from the covariate mechanism.
+
+    With ``size`` given (an int or a shape tuple), both are arrays of that
+    shape.
+    """
     x1 = rng.choice(gt.spec.k1, size=size, p=gt.p_x1)
     if size is None:
         x2 = rng.choice(gt.spec.k2, p=gt.p_x2_given_x1[x1])

@@ -46,9 +46,11 @@ def softmax_rows(logits):
 
 
 def inverse_cdf(cdf_rows, u):
-    """Column drawn by each ``u[n]`` from row ``n`` of ``cdf_rows``.
+    """Column drawn by each uniform ``u[...]`` from its CDF row ``cdf_rows[..., :]``.
 
-    The draw is the number of CDF entries strictly below ``u[n]``, capped at
-    the last column so rounding in the final entry never runs off the row.
+    ``cdf_rows`` carries one CDF along its last axis per entry of ``u``.
+    The draw is the number of CDF entries strictly below the uniform, capped
+    at the last column so rounding in the final entry never runs off the
+    row.
     """
-    return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+    return np.minimum((cdf_rows < u[..., None]).sum(axis=-1), cdf_rows.shape[-1] - 1)

@@ -18,7 +18,8 @@ modularised sub-models and factored policy learning.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .glm import (
     prediction_table,
 )
 from .logs import ARM_CODES, Log
-from .numerics import inverse_cdf, sigmoid
+from .numerics import sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
 from .streams import DayStream
@@ -188,26 +189,74 @@ class TwoDecisionResult:
         return next(e.model_value for e in self.entries if e.variant == variant)
 
 
-def _simulate_chunk(gt: GroundTruth, policy: Policy, u: np.ndarray):
-    """Vectorised inverse-CDF simulation of one chunk of interactions."""
+class _DayTables(NamedTuple):
+    """Lookup tables of the row sampler, built once per :func:`run_day` call.
+
+    Each CDF drops its last entry.  Counting the kept entries a uniform
+    passes is the capped inverse-CDF draw, because a cumulative sum of
+    nonnegative probabilities never decreases.  The x2 and cell CDFs are
+    stored transposed, one row per CDF entry, indexed by x1 and by the
+    flat context ``x1 * k2 + x2``.  ``propensity`` and ``p_click`` are
+    flat over ``(context, cell)``, ``p_sale`` over ``(context, action)``.
+    """
+
+    x1_cdf: np.ndarray
+    x2_cdf: np.ndarray
+    cell_cdf: np.ndarray
+    propensity: np.ndarray
+    p_click: np.ndarray
+    p_sale: np.ndarray | None
+    spec: CategoricalSpec
+
+
+def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     spec = gt.spec
-    cdf1 = np.cumsum(gt.p_x1)
-    x1 = np.minimum(np.searchsorted(cdf1, u[:, 0], side="right"), spec.k1 - 1)
-    x2 = inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], u[:, 1])
-    cell_probs = policy.cell_probs()[x1, x2]
-    cell = inverse_cdf(np.cumsum(cell_probs, axis=1), u[:, 2])
-    propensity = cell_probs[np.arange(len(cell)), cell]
+    cell_probs = policy.cell_probs().reshape(spec.k1 * spec.k2, -1)
+    return _DayTables(
+        x1_cdf=np.cumsum(gt.p_x1)[:-1],
+        x2_cdf=np.ascontiguousarray(np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1].T),
+        cell_cdf=np.ascontiguousarray(np.cumsum(cell_probs, axis=1)[:, :-1].T),
+        propensity=cell_probs.ravel(),
+        p_click=sigmoid(gt.click_logit).ravel(),
+        p_sale=None if gt.sale_logit is None else sigmoid(gt.sale_logit).ravel(),
+        spec=spec,
+    )
+
+
+def _simulate_chunk(tables: _DayTables, u: np.ndarray):
+    """Inverse-CDF simulation of one chunk of rows from the day's tables.
+
+    x1 counts the CDF entries at or below its uniform (numpy's
+    ``searchsorted(side="right")`` rule); x2 and the action cell count the
+    entries strictly below theirs.  Returns ``(x1, x2, a, d, propensity, c,
+    s)``: int32 covariates and actions, float64 propensities and int8
+    outcomes, with ``d`` or ``s`` None when the environment has no decision
+    axis or no sale mechanism.
+    """
+    spec = tables.spec
+    n = len(u)
+    u0, u1, u2 = np.ascontiguousarray(u[:, :3].T)
+    x1 = np.zeros(n, dtype=np.int32)
+    for entry in tables.x1_cdf:
+        x1 += entry <= u0
+    x2 = np.zeros(n, dtype=np.int32)
+    for row in tables.x2_cdf:
+        x2 += row.take(x1) < u1
+    context = x1 * spec.k2 + x2
+    cell = np.zeros(n, dtype=np.int32)
+    for row in tables.cell_cdf:
+        cell += row.take(context) < u2
+    flat = context * spec.action_cells + cell
+    propensity = tables.propensity.take(flat)
+    c = (u[:, 3] < tables.p_click.take(flat)).view(np.int8)
     if spec.n_decisions is None:
         a, d = cell, None
-        p_click = sigmoid(gt.click_logit[x1, x2, a])
     else:
         a, d = np.divmod(cell, spec.n_decisions)
-        p_click = sigmoid(gt.click_logit[x1, x2, a, d])
-    c = (u[:, 3] < p_click).astype(np.int8)
     s = None
-    if gt.sale_logit is not None:
-        p_sale = sigmoid(gt.sale_logit[x1, x2, a])
-        s = np.where(c == 1, (u[:, 4] < p_sale).astype(np.int8), np.int8(-1))
+    if tables.p_sale is not None:
+        sale = (u[:, 4] < tables.p_sale.take(context * spec.n_actions + a)).view(np.int8)
+        s = np.where(c == 1, sale, np.int8(-1))
     return x1, x2, a, d, propensity, c, s
 
 
@@ -225,7 +274,10 @@ def run_day(
 
     The day is generated in fixed-size chunks (:data:`CHUNK_ROWS`), each
     drawing its own counter range of ``stream``, so the log is identical
-    whatever ``workers`` is and however the chunks are scheduled.
+    whatever ``workers`` is and however the chunks are scheduled.  The CDF
+    and probability lookup tables are built once per call from ``gt`` and
+    ``policy``, and each chunk writes its own slice of the preallocated
+    log columns.
 
     Returns
     -------
@@ -233,28 +285,31 @@ def run_day(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    starts = list(range(0, n, CHUNK_ROWS))
+    tables = _day_tables(gt, policy)
+    columns = (
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        None if gt.spec.n_decisions is None else np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.float64),
+        np.empty(n, dtype=np.int8),
+        None if gt.sale_logit is None else np.empty(n, dtype=np.int8),
+    )
 
     def one(start):
-        count = min(CHUNK_ROWS, n - start)
-        return _simulate_chunk(gt, policy, stream.uniforms(start, count))
+        stop = min(start + CHUNK_ROWS, n)
+        for col, part in zip(columns, _simulate_chunk(tables, stream.uniforms(start, stop - start))):
+            if col is not None:
+                col[start:stop] = part
 
+    starts = range(0, n, CHUNK_ROWS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, starts))
+            list(pool.map(one, starts))
     else:
-        chunks = [one(start) for start in starts]
-    x1 = np.concatenate([ch[0] for ch in chunks]).astype(np.int32)
-    x2 = np.concatenate([ch[1] for ch in chunks]).astype(np.int32)
-    a = np.concatenate([ch[2] for ch in chunks]).astype(np.int32)
-    d = None
-    if gt.spec.n_decisions is not None:
-        d = np.concatenate([ch[3] for ch in chunks]).astype(np.int32)
-    propensity = np.concatenate([ch[4] for ch in chunks])
-    c = np.concatenate([ch[5] for ch in chunks])
-    s = None
-    if gt.sale_logit is not None:
-        s = np.concatenate([ch[6] for ch in chunks])
+        for start in starts:
+            one(start)
+    x1, x2, a, d, propensity, c, s = columns
     arm_col = None
     if arm is not None:
         arm_col = np.full(n, ARM_CODES[arm], dtype=np.int8)

@@ -10,7 +10,9 @@ support and standard error of a backdoor adjustment, one
 ``json.dumps`` per row instead of the columnar NDJSON formatter, and a
 REINFORCE loop that rebuilds its inputs every iteration and scatters
 with ``np.add.at`` instead of the search that builds them once and
-accumulates with ``bincount``.  Tests
+accumulates with ``bincount``, and a row sampler that gathers a CDF per
+row and caps each draw instead of counting entries of per-day lookup
+tables.  Tests
 freeze oracle outputs as literals wherever the value is a single number,
 so a regression in the oracle itself cannot mask a regression in the
 library.
@@ -26,7 +28,7 @@ import numpy as np
 
 from confoundsim import FactoredPolicyParams
 from confoundsim.glm import prediction_table
-from confoundsim.numerics import softmax_rows
+from confoundsim.numerics import sigmoid, softmax_rows
 
 LOGIT_CAP = 15.0
 
@@ -334,6 +336,39 @@ def ndjson_reference(log) -> str:
             record["arm"] = arm_letters[int(log.arm[i])]
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def _reference_inverse_cdf(cdf_rows, u):
+    return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+def simulate_chunk_reference(gt, policy, u: np.ndarray):
+    """One chunk of ``run_day`` rows by the per-row-CDF route.
+
+    Gathers each row's x2 and action-cell CDF rows, caps every draw at
+    the last column, and applies the sigmoid to gathered logits.  Returns
+    ``(x1, x2, a, d, propensity, c, s)`` in the sampler's native dtypes
+    (int64 covariates and actions), before ``run_day``'s int32 cast.
+    """
+    spec = gt.spec
+    cdf1 = np.cumsum(gt.p_x1)
+    x1 = np.minimum(np.searchsorted(cdf1, u[:, 0], side="right"), spec.k1 - 1)
+    x2 = _reference_inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], u[:, 1])
+    cell_probs = policy.cell_probs()[x1, x2]
+    cell = _reference_inverse_cdf(np.cumsum(cell_probs, axis=1), u[:, 2])
+    propensity = cell_probs[np.arange(len(cell)), cell]
+    if spec.n_decisions is None:
+        a, d = cell, None
+        p_click = sigmoid(gt.click_logit[x1, x2, a])
+    else:
+        a, d = np.divmod(cell, spec.n_decisions)
+        p_click = sigmoid(gt.click_logit[x1, x2, a, d])
+    c = (u[:, 3] < p_click).astype(np.int8)
+    s = None
+    if gt.sale_logit is not None:
+        p_sale = sigmoid(gt.sale_logit[x1, x2, a])
+        s = np.where(c == 1, (u[:, 4] < p_sale).astype(np.int8), np.int8(-1))
+    return x1, x2, a, d, propensity, c, s
 
 
 def _reference_objective(model, params, gt) -> float:

@@ -14,6 +14,7 @@ from confoundsim import (
     make_default_ground_truth,
     make_separable_ground_truth,
     oracle_policy,
+    sample_action,
     sample_context,
     true_click_prob,
     true_sale_prob,
@@ -174,6 +175,20 @@ class TestSampling:
         b = sample_context(gt, np.random.default_rng(9), size=1000)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_tuple_size_shapes_like_sample_action(self):
+        spec = CategoricalSpec(k1=3, k2=4, n_actions=2)
+        gt = make_default_ground_truth(spec, seed=0)
+        x1, x2 = sample_context(gt, np.random.default_rng(5), size=(2, 3))
+        a, propensity = sample_action(uniform_policy(spec), 0, 1, np.random.default_rng(5), size=(2, 3))
+        assert x1.shape == x2.shape == a.shape == propensity.shape == (2, 3)
+
+    def test_tuple_size_is_a_reshaped_flat_draw(self):
+        gt = make_default_ground_truth(SPEC, seed=2)
+        x1, x2 = sample_context(gt, np.random.default_rng(9), size=(2, 3))
+        flat1, flat2 = sample_context(gt, np.random.default_rng(9), size=6)
+        assert x1.tolist() == flat1.reshape(2, 3).tolist()
+        assert x2.tolist() == flat2.reshape(2, 3).tolist()
 
 
 class TestPointProbabilities:

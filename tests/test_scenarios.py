@@ -1,13 +1,20 @@
 """Scenario tests: single-day simulation and the four studies."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confoundsim.scenarios
 from confoundsim import (
     CHUNK_ROWS,
     CategoricalSpec,
     DayStream,
     GroundTruth,
+    Log,
+    Policy,
     ScenarioConfig,
     make_default_ground_truth,
     make_separable_ground_truth,
@@ -28,7 +35,10 @@ from confoundsim.fixtures import (
     TWO_DECISION_SPEC,
 )
 from confoundsim.numerics import inverse_cdf
+from confoundsim.policy import greedy_policy
+from confoundsim.scenarios import _day_tables, _simulate_chunk
 from conftest import all_reports, ndjson_text
+from oracles import simulate_chunk_reference
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 DESK = ScenarioConfig(samples_per_day=20_000)
@@ -89,9 +99,12 @@ class TestRunDay:
         assert report.regret >= -1e-12
 
     def test_inverse_cdf_ties_and_cap(self):
-        # The x2 and action-cell draws count the CDF entries strictly below
-        # u, so a u on an entry stays in that column, and a last entry that
-        # rounds short of 1.0 never sends a draw off the row.
+        # inverse_cdf (the x2 draw of sample_context, the action and
+        # decision draws of the REINFORCE search) counts the CDF entries
+        # strictly below u, so a u on an entry stays in that column, and a
+        # last entry that rounds short of 1.0 never sends a draw off the
+        # row.  The row sampler's own tie rules are pinned in
+        # TestSamplerByteContract.
         u = np.array([0.25, 0.2500001, 0.5, 0.75, 1.0 - 2.0**-53])
         cdf = np.tile([0.25, 0.5, 1.0 - 2.0**-52], (len(u), 1))
         assert inverse_cdf(cdf, u).tolist() == [0, 1, 1, 2, 2]
@@ -100,6 +113,146 @@ class TestRunDay:
         gt = make_default_ground_truth(SPEC, seed=0)
         with pytest.raises(ValueError):
             run_day(gt, uniform_policy(SPEC), 0, 0, DayStream(0, 0, 0))
+
+
+COLUMNS = ("x1", "x2", "a", "d", "propensity", "c", "s")
+SAMPLER_SPECS = (
+    SPEC,
+    CategoricalSpec(k1=3, k2=4, n_actions=6),
+    CategoricalSpec(k1=2, k2=2, n_actions=3),
+    CategoricalSpec(k1=4, k2=4, n_actions=5, n_decisions=4),
+    TWO_DECISION_SPEC,
+)
+# Largest double below 1.0: the top of Philox's uniform range.
+U_TOP = 1.0 - 2.0**-53
+
+
+def sampler_policy(spec, kind, epsilon, rng):
+    """One-hot, epsilon-greedy or dense random policy with zero cells."""
+    if kind == "random":
+        probs = rng.random((spec.k1, spec.k2, spec.action_cells))
+        probs[rng.random(probs.shape) < 0.5] = 0.0
+        probs[..., rng.integers(spec.action_cells)] += 0.1
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return Policy(spec, probs.reshape(spec.cell_shape), ("x1", "x2"))
+    best = rng.integers(0, spec.action_cells, size=(spec.k1, spec.k2))
+    return greedy_policy(spec, best, ("x1", "x2"), kind, None if kind == "one-hot" else epsilon)
+
+
+def reference_columns(gt, policy, u):
+    """The reference chunk with run_day's int32 cast of covariates and actions."""
+    cols = list(simulate_chunk_reference(gt, policy, u))
+    for i in range(4):
+        if cols[i] is not None:
+            cols[i] = cols[i].astype(np.int32)
+    return cols
+
+
+def assert_same_columns(got, want):
+    for name, g, w in zip(COLUMNS, got, want):
+        if w is None:
+            assert g is None, name
+            continue
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+
+
+class TestSamplerByteContract:
+    """The per-day lookup-table sampler draws the reference's exact bytes."""
+
+    @pytest.mark.parametrize("kind", ["one-hot", "epsilon-greedy", "random"])
+    @pytest.mark.parametrize("rows", [1, 7, 1000, CHUNK_ROWS])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spec=st.sampled_from(SAMPLER_SPECS),
+        with_sales=st.booleans(),
+        epsilon=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**16),
+        chunk=st.integers(0, 6),
+    )
+    def test_chunk_matches_reference(self, kind, rows, spec, with_sales, epsilon, seed, chunk):
+        gt = make_default_ground_truth(spec, seed, min_gap=0.0, with_sales=with_sales)
+        policy = sampler_policy(spec, kind, epsilon, np.random.default_rng(seed))
+        u = DayStream(seed, 1, 0).uniforms(chunk * CHUNK_ROWS, rows)
+        assert_same_columns(_simulate_chunk(_day_tables(gt, policy), u), reference_columns(gt, policy, u))
+
+    def test_ties_and_cap(self):
+        # Every CDF is [0.25, 0.5, 1 - 2**-52]: its last entry rounds short
+        # of 1.0.  x1 counts the entries at or below u (searchsorted's
+        # side="right"); x2 and the action cell count those strictly below.
+        spec = CategoricalSpec(k1=3, k2=3, n_actions=3)
+        probs = np.array([0.25, 0.25, 0.5 - 2.0**-52])
+        gt = GroundTruth(
+            spec=spec,
+            p_x1=probs,
+            p_x2_given_x1=np.tile(probs, (3, 1)),
+            click_logit=np.zeros(spec.cell_shape),
+            sale_logit=np.zeros(spec.cell_shape),
+        )
+        policy = Policy(spec, np.broadcast_to(probs, spec.cell_shape), ())
+        above = np.nextafter(0.25, 1.0)
+        u = np.zeros((6, 8))
+        u[:, :3] = [
+            [0.25, 0.25, 0.25],
+            [0.5, 0.5, 0.5],
+            [above, above, above],
+            [U_TOP, U_TOP, U_TOP],
+            [0.0, 0.0, 0.0],
+            [0.25, U_TOP, 0.5],
+        ]
+        got = _simulate_chunk(_day_tables(gt, policy), u)
+        assert got[0].tolist() == [1, 2, 1, 2, 0, 1]
+        assert got[1].tolist() == [0, 1, 1, 2, 0, 2]
+        assert got[2].tolist() == [0, 1, 1, 2, 0, 1]
+        assert_same_columns(got, reference_columns(gt, policy, u))
+
+    @pytest.mark.parametrize(
+        "spec,with_sales,arm",
+        [(SPEC, True, "B"), (TWO_DECISION_SPEC, False, None)],
+        ids=["click-sale", "two-decision"],
+    )
+    def test_run_day_matches_reference_log(self, spec, with_sales, arm):
+        gt = make_default_ground_truth(spec, 4, min_gap=0.0, with_sales=with_sales)
+        policy = sampler_policy(spec, "epsilon-greedy", 0.05, np.random.default_rng(4))
+        n = 2 * CHUNK_ROWS + 1234
+        stream = DayStream(4, 3, 2)
+        log, _ = run_day(gt, policy, n, 3, stream, arm=arm)
+        chunks = [
+            reference_columns(gt, policy, stream.uniforms(start, min(CHUNK_ROWS, n - start)))
+            for start in range(0, n, CHUNK_ROWS)
+        ]
+        columns = {
+            name: None if chunks[0][i] is None else np.concatenate([ch[i] for ch in chunks])
+            for i, name in enumerate(COLUMNS)
+        }
+        arm_col = None if arm is None else np.full(n, 1, dtype=np.int8)
+        reference = Log(day=np.full(n, 3, dtype=np.int32), arm=arm_col, **columns)
+        assert ndjson_text(log) == ndjson_text(reference)
+
+    @pytest.mark.parametrize(
+        "spec,with_sales",
+        [(SPEC, True), (TWO_DECISION_SPEC, False)],
+        ids=["click-sale", "two-decision"],
+    )
+    def test_chunking_and_workers_do_not_change_the_log(self, spec, with_sales, monkeypatch):
+        gt = make_default_ground_truth(spec, 2, min_gap=0.0, with_sales=with_sales)
+        policy = sampler_policy(spec, "epsilon-greedy", 0.1, np.random.default_rng(2))
+
+        def day_ndjson(workers):
+            log, _ = run_day(gt, policy, 70_000, 1, DayStream(2, 1, 0), workers=workers)
+            return ndjson_text(log)
+
+        serial = day_ndjson(workers=1)
+        # Three threads write disjoint slices of the same columns; a short
+        # switch interval makes them interleave as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert day_ndjson(workers=3) == serial
+            monkeypatch.setattr(confoundsim.scenarios, "CHUNK_ROWS", 9_973)
+            assert day_ndjson(workers=3) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFeatureEngineeringLoop:
