@@ -6,6 +6,12 @@ coefficient for a cell is the empirical log-odds of its outcome rate.  The
 closed form is exact; an iterative solver is kept in the test suite only,
 as an independent cross-check.
 
+The fit therefore needs only integer cell counts.  :func:`tally` counts a
+log once over the full ``(x1, x2, a[, d])`` grid, :func:`sum_tallies`
+adds the tallies of several logs, and :func:`fit_counts` sums out the
+factors a model does not see before taking the log-odds.  :func:`fit` is
+the two steps in a row.
+
 Fitted coefficients are clipped to ``+-LOGIT_CAP``: cells with outcome rate
 exactly 0 or 1 get the capped value, and cells never visited keep a zero
 coefficient (predicted probability one half).  A fitted model also records
@@ -16,11 +22,13 @@ attach a sampling error to what they compute from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .features import FeatureSpec, dim, encode
+from .features import ACTION_FACTORS, COVARIATE_FACTORS, CategoricalSpec, FeatureSpec, dim, encode
 from .logs import Log
 from .numerics import LOGIT_CAP, sigmoid
 
@@ -28,11 +36,13 @@ __all__ = [
     "TARGET_CLICK",
     "TARGET_SALE_GIVEN_CLICK",
     "FittedModel",
+    "Tally",
     "fit",
-    "gradient",
-    "log_likelihood",
+    "fit_counts",
     "predict",
     "prediction_table",
+    "sum_tallies",
+    "tally",
 ]
 
 TARGET_CLICK = "click"
@@ -117,24 +127,72 @@ class FittedModel:
         )
 
 
-def _training_arrays(log: Log, feature_spec: FeatureSpec, target: str):
-    if len(log) == 0:
-        raise ValueError("cannot fit on an empty log slice")
-    if target == TARGET_CLICK:
-        rows = log
-        outcome = log.c.astype(np.float64)
-    elif target == TARGET_SALE_GIVEN_CLICK:
-        if log.s is None:
-            raise ValueError("log has no sale outcomes; cannot fit a sale model")
-        rows = log._take(log.c == 1)
-        if len(rows) == 0:
-            raise ValueError("no clicked records; cannot fit a sale-given-click model")
-        outcome = rows.s.astype(np.float64)
-    else:
-        raise ValueError(f"target must be one of {_TARGETS}")
-    d = rows.d if "d" in feature_spec.action_factors else None
-    idx = encode(feature_spec, rows.x1, rows.x2, rows.a, d)
-    return np.asarray(idx), outcome
+class Tally(NamedTuple):
+    """Integer cell counts of a log over the full ``(x1, x2, a[, d])`` grid.
+
+    ``impressions``, ``clicks`` and ``sales`` (clicked sales) share one
+    shape, with a ``d`` axis only when both the spec and the log have a
+    decision factor.  ``sales`` is None for a log without sale outcomes.
+    ``day_range`` is ``(first_day, last_day)``, or None for an empty log.
+    """
+
+    impressions: np.ndarray
+    clicks: np.ndarray
+    sales: np.ndarray | None
+    day_range: tuple | None
+
+
+def tally(log: Log, spec: CategoricalSpec) -> Tally:
+    """Count impressions, clicks and clicked sales per cell in one ``bincount``.
+
+    Each row lands in bin ``3 * cell + outcome``, with outcome 0 for no
+    click, 1 for a click without a sale and 2 for a clicked sale.  Every
+    factor of every row must lie in range, including factors a model fit
+    on the tally may not see.
+    """
+    factors = [("x1", log.x1, spec.k1), ("x2", log.x2, spec.k2), ("a", log.a, spec.n_actions)]
+    if spec.n_decisions is not None and log.d is not None:
+        factors.append(("d", log.d, spec.n_decisions))
+    n = len(log)
+    if n and (log.c.min() < 0 or log.c.max() > 1):
+        raise ValueError("click outcomes must be 0 or 1")
+    idx = np.zeros(n, dtype=np.int32)
+    for name, col, card in factors:
+        if n and (col.min() < 0 or col.max() >= card):
+            raise ValueError(f"{name} out of range [0, {card})")
+        idx *= card
+        idx += col
+    idx *= 3
+    idx += log.c
+    if log.s is not None:
+        idx += log.s == 1
+    shape = tuple(card for _, _, card in factors)
+    bins = np.bincount(idx, minlength=3 * math.prod(shape)).reshape(shape + (3,))
+    clicks = bins[..., 1] + bins[..., 2]
+    return Tally(
+        impressions=bins[..., 0] + clicks,
+        clicks=clicks,
+        sales=None if log.s is None else bins[..., 2],
+        # Rows are day-ordered, so the first and last rows bound the days.
+        day_range=(int(log.day[0]), int(log.day[-1])) if n else None,
+    )
+
+
+def sum_tallies(parts) -> Tally:
+    """The tally of the logs behind ``parts`` taken together.
+
+    Sales are counted only if every part counts them.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("nothing to sum")
+    ranges = [p.day_range for p in parts if p.day_range is not None]
+    return Tally(
+        impressions=sum(p.impressions for p in parts),
+        clicks=sum(p.clicks for p in parts),
+        sales=None if any(p.sales is None for p in parts) else sum(p.sales for p in parts),
+        day_range=(min(r[0] for r in ranges), max(r[1] for r in ranges)) if ranges else None,
+    )
 
 
 def fit(
@@ -143,7 +201,7 @@ def fit(
     target: str = TARGET_CLICK,
     pseudo_count: float = 0.0,
 ) -> FittedModel:
-    """Exact maximum-likelihood fit on a log slice.
+    """Exact maximum-likelihood fit on a log slice: :func:`fit_counts` of its :func:`tally`.
 
     Parameters
     ----------
@@ -162,14 +220,46 @@ def fit(
     FittedModel
         Carries the per-cell ``trials`` and ``successes`` it was fit on.
     """
+    return fit_counts(feature_spec, tally(log, feature_spec.spec), target, pseudo_count)
+
+
+def fit_counts(
+    feature_spec: FeatureSpec,
+    counts: Tally,
+    target: str = TARGET_CLICK,
+    pseudo_count: float = 0.0,
+) -> FittedModel:
+    """Exact maximum-likelihood fit on a :class:`Tally`.
+
+    Sums out the factors ``feature_spec`` does not see, then takes each
+    cell's log-odds.  Click models count impressions and clicks, sale
+    models clicks and clicked sales.  Arguments are as for :func:`fit`.
+    """
     if pseudo_count < 0:
         raise ValueError("pseudo_count must be nonnegative")
-    idx, outcome = _training_arrays(log, feature_spec, target)
-    size = dim(feature_spec)
-    trials = np.bincount(idx, minlength=size)
+    if not counts.impressions.any():
+        raise ValueError("cannot fit on an empty log slice")
+    if target == TARGET_CLICK:
+        trials, successes = counts.impressions, counts.clicks
+    elif target == TARGET_SALE_GIVEN_CLICK:
+        if counts.sales is None:
+            raise ValueError("log has no sale outcomes; cannot fit a sale model")
+        if not counts.clicks.any():
+            raise ValueError("no clicked records; cannot fit a sale-given-click model")
+        trials, successes = counts.clicks, counts.sales
+    else:
+        raise ValueError(f"target must be one of {_TARGETS}")
+    if trials.shape != feature_spec.spec.cell_shape[: trials.ndim]:
+        raise ValueError("tally grid does not match the feature spec")
+    grid = (COVARIATE_FACTORS + ACTION_FACTORS)[: trials.ndim]
+    if "d" in feature_spec.action_factors and "d" not in grid:
+        raise ValueError("action factor 'd' is required by this feature spec")
+    hidden = tuple(axis for axis, name in enumerate(grid) if name not in feature_spec.factors)
+    trials = trials.sum(axis=hidden).ravel()
+    successes = successes.sum(axis=hidden).ravel()
     n = trials.astype(np.float64)
-    k = np.bincount(idx, weights=outcome, minlength=size)
-    beta = np.zeros(size, dtype=np.float64)
+    k = successes.astype(np.float64)
+    beta = np.zeros(len(n), dtype=np.float64)
     visited = n > 0
     p = (k[visited] + pseudo_count) / (n[visited] + 2.0 * pseudo_count)
     with np.errstate(divide="ignore"):
@@ -178,10 +268,10 @@ def fit(
         feature_spec=feature_spec,
         beta=beta,
         target=target,
-        training_day_range=(int(log.day.min()), int(log.day.max())),
-        n_train=int(len(outcome)),
+        training_day_range=counts.day_range,
+        n_train=int(trials.sum()),
         trials=trials,
-        successes=k,
+        successes=successes,
     )
 
 
@@ -201,20 +291,3 @@ def prediction_table(model: FittedModel) -> np.ndarray:
     # encode ignores a d grid when the model does not score d.
     out = predict(model, *np.indices(shape, sparse=True))
     return np.broadcast_to(out, shape).copy()
-
-
-def log_likelihood(model: FittedModel, log: Log) -> float:
-    """Bernoulli log-likelihood of the model's target on a log slice."""
-    idx, outcome = _training_arrays(log, model.feature_spec, model.target)
-    p = sigmoid(model.beta[idx])
-    return float(np.sum(outcome * np.log(p) + (1.0 - outcome) * np.log1p(-p)))
-
-
-def gradient(model: FittedModel, log: Log) -> np.ndarray:
-    """Gradient of :func:`log_likelihood` in ``beta``.
-
-    With one-hot features this is the per-cell sum of ``outcome - p``.
-    """
-    idx, outcome = _training_arrays(log, model.feature_spec, model.target)
-    p = sigmoid(model.beta[idx])
-    return np.bincount(idx, weights=outcome - p, minlength=dim(model.feature_spec))

@@ -35,8 +35,11 @@ from .glm import (
     TARGET_CLICK,
     TARGET_SALE_GIVEN_CLICK,
     FittedModel,
-    fit,
+    Tally,
+    fit_counts,
     prediction_table,
+    sum_tallies,
+    tally,
 )
 from .logs import ARM_CODES, Log
 from .numerics import sigmoid
@@ -64,8 +67,12 @@ __all__ = [
 # Fixed simulation chunk size.  Chunk i always covers rows
 # [i * CHUNK_ROWS, (i+1) * CHUNK_ROWS) of a day and owns the matching
 # counter range of the day's stream, so results never depend on how many
-# chunks are processed at once.
-CHUNK_ROWS = 1 << 16
+# chunks are processed at once.  A chunk's uniform block is CHUNK_ROWS x 64
+# bytes: 1 MiB at 16,384 rows, small enough to stay in a 2 MiB L2 cache.
+CHUNK_ROWS = 1 << 14
+
+# The columns of a Log, in the order run_day's ``out`` tuple holds them.
+LOG_COLUMNS = ("day", "x1", "x2", "a", "d", "propensity", "c", "s", "arm")
 
 
 @dataclass
@@ -260,6 +267,30 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray):
     return x1, x2, a, d, propensity, c, s
 
 
+def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
+    """dtype of each of :data:`LOG_COLUMNS` a day of ``gt`` fills, None where absent."""
+    return (
+        np.int32, np.int32, np.int32, np.int32,
+        None if gt.spec.n_decisions is None else np.int32,
+        np.float64, np.int8,
+        None if gt.sale_logit is None else np.int8,
+        np.int8 if with_arm else None,
+    )
+
+
+def _empty_columns(gt: GroundTruth, n: int, with_arm: bool) -> tuple:
+    return tuple(None if dt is None else np.empty(n, dtype=dt) for dt in _column_dtypes(gt, with_arm))
+
+
+def _rows(columns: tuple, start: int, stop: int) -> tuple:
+    """Views of rows ``[start, stop)`` of every present column."""
+    return tuple(None if col is None else col[start:stop] for col in columns)
+
+
+def _as_log(columns: tuple) -> Log:
+    return Log(**dict(zip(LOG_COLUMNS, columns)))
+
+
 def run_day(
     gt: GroundTruth,
     policy: Policy,
@@ -269,6 +300,7 @@ def run_day(
     model_trained_on=None,
     arm: str | None = None,
     workers: int = 1,
+    out: tuple | None = None,
 ):
     """Simulate one day of traffic under a fixed policy.
 
@@ -276,8 +308,14 @@ def run_day(
     drawing its own counter range of ``stream``, so the log is identical
     whatever ``workers`` is and however the chunks are scheduled.  The CDF
     and probability lookup tables are built once per call from ``gt`` and
-    ``policy``, and each chunk writes its own slice of the preallocated
-    log columns.
+    ``policy``, and each chunk writes its own slice of the log columns.
+
+    ``out`` is the destination, as in numpy's ``out=``: one length-``n``
+    array per name in :data:`LOG_COLUMNS`, of the log's dtype, or None
+    for a column this day has no values for (``d`` without a decision
+    axis, ``s`` without a sale mechanism, ``arm`` when ``arm`` is None).
+    The returned log is a view of it.  By default fresh columns are
+    allocated.
 
     Returns
     -------
@@ -285,20 +323,21 @@ def run_day(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    dtypes = _column_dtypes(gt, arm is not None)
+    if out is None:
+        out = _empty_columns(gt, n, arm is not None)
+    elif len(out) != len(dtypes) or any(
+        (col is None) != (dt is None) or (col is not None and (col.dtype != dt or len(col) != n))
+        for col, dt in zip(out, dtypes)
+    ):
+        raise ValueError("out must hold one length-n column of the log's dtype per column the day fills")
     tables = _day_tables(gt, policy)
-    columns = (
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        None if gt.spec.n_decisions is None else np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.float64),
-        np.empty(n, dtype=np.int8),
-        None if gt.sale_logit is None else np.empty(n, dtype=np.int8),
-    )
+    # The sampler's (x1, x2, a, d, propensity, c, s), in LOG_COLUMNS order.
+    sampled = out[1:8]
 
     def one(start):
         stop = min(start + CHUNK_ROWS, n)
-        for col, part in zip(columns, _simulate_chunk(tables, stream.uniforms(start, stop - start))):
+        for col, part in zip(sampled, _simulate_chunk(tables, stream.uniforms(start, stop - start))):
             if col is not None:
                 col[start:stop] = part
 
@@ -309,21 +348,10 @@ def run_day(
     else:
         for start in starts:
             one(start)
-    x1, x2, a, d, propensity, c, s = columns
-    arm_col = None
+    out[0][:] = day
     if arm is not None:
-        arm_col = np.full(n, ARM_CODES[arm], dtype=np.int8)
-    log = Log(
-        day=np.full(n, day, dtype=np.int32),
-        x1=x1,
-        x2=x2,
-        a=a,
-        propensity=propensity,
-        c=c,
-        d=d,
-        s=s,
-        arm=arm_col,
-    )
+        out[8][:] = ARM_CODES[arm]
+    log = _as_log(out)
     expected = expected_policy_ctr(gt, policy)
     oracle = expected_policy_ctr(gt, oracle_policy(gt, policy.visibility))
     report = DayReport(
@@ -341,8 +369,8 @@ def run_day(
     return log, report
 
 
-def _daily_model(log: Log, features, cfg: ScenarioConfig) -> FittedModel:
-    return fit(log, FeatureSpec(features, ("a",), cfg.spec), target=TARGET_CLICK)
+def _daily_model(counts: Tally, features, cfg: ScenarioConfig) -> FittedModel:
+    return fit_counts(FeatureSpec(features, ("a",), cfg.spec), counts, target=TARGET_CLICK)
 
 
 def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")) -> ScenarioResult:
@@ -353,25 +381,29 @@ def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")
     model sees only x1 except on day 2, which sees ``day2_features``.
     Day 3's covariate-blind refit therefore trains on confounded traffic;
     by day 4 the training window is clean again.
+
+    Each day is written into its rows of the scenario's log and tallied
+    once; the next day's model is fit from that tally.
     """
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    logs: list[Log] = []
+    n = cfg.samples_per_day
+    columns = _empty_columns(gt, cfg.days * n, with_arm=False)
     reports: list[DayReport] = []
     policy = uniform_policy(cfg.spec)
     trained_on = None
     for day in range(cfg.days):
         if day >= 1:
             features = tuple(day2_features) if day == 2 else ("x1",)
-            model = _daily_model(logs[-1], features, cfg)
+            model = _daily_model(counts, features, cfg)
             policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
             trained_on = model.training_day_range
         log, report = run_day(
-            gt, policy, cfg.samples_per_day, day, DayStream(cfg.seed, day, 0),
-            model_trained_on=trained_on,
+            gt, policy, n, day, DayStream(cfg.seed, day, 0),
+            model_trained_on=trained_on, out=_rows(columns, day * n, (day + 1) * n),
         )
-        logs.append(log)
+        counts = tally(log, cfg.spec)
         reports.append(report)
-    return ScenarioResult(gt=gt, reports=reports, log=Log.concat(logs))
+    return ScenarioResult(gt=gt, reports=reports, log=_as_log(columns))
 
 
 def scenario_ab_test(
@@ -385,55 +417,60 @@ def scenario_ab_test(
     both arms train on the union of the previous day's arms, so arm A
     keeps retraining on arm B's x2-aware traffic; under separate logs each
     arm trains only on its own previous day.
+
+    Each day's rows, arm A's before arm B's, are written into the
+    scenario's log and tallied once; a shared training log is the sum of
+    the two arms' tallies.
     """
     if not 1 <= cfg.ab_start_day < cfg.days:
         raise ValueError("ab_start_day must lie in [1, days)")
+    if cfg.samples_per_day < 2:
+        raise ValueError("samples_per_day must be at least 2 to split each A/B day between arms A and B")
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    all_logs: list[Log] = []
+    n = cfg.samples_per_day
+    columns = _empty_columns(gt, cfg.days * n, with_arm=True)
     common_reports: list[DayReport] = []
     policy = uniform_policy(cfg.spec)
     trained_on = None
     for day in range(cfg.ab_start_day):
         if day >= 1:
-            model = _daily_model(all_logs[-1], ("x1",), cfg)
+            model = _daily_model(counts, ("x1",), cfg)
             policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
             trained_on = model.training_day_range
         log, report = run_day(
-            gt, policy, cfg.samples_per_day, day, DayStream(cfg.seed, day, 0),
-            model_trained_on=trained_on, arm="",
+            gt, policy, n, day, DayStream(cfg.seed, day, 0),
+            model_trained_on=trained_on, arm="", out=_rows(columns, day * n, (day + 1) * n),
         )
-        all_logs.append(log)
+        counts = tally(log, cfg.spec)
         common_reports.append(report)
     arm_reports: dict[str, list[DayReport]] = {"A": [], "B": []}
-    train_a = train_b = all_logs[-1]
-    n_a = cfg.samples_per_day // 2
-    n_b = cfg.samples_per_day - n_a
+    train_a = train_b = counts
+    n_a = n // 2
     for day in range(cfg.ab_start_day, cfg.days):
         model_a = _daily_model(train_a, ("x1",), cfg)
         model_b = _daily_model(train_b, tuple(arm_b_features), cfg)
         policy_a = epsilon_greedy(model_a, cfg.epsilon, cfg.spec)
         policy_b = epsilon_greedy(model_b, cfg.epsilon, cfg.spec)
+        start, split, stop = day * n, day * n + n_a, (day + 1) * n
         log_a, report_a = run_day(
             gt, policy_a, n_a, day, DayStream(cfg.seed, day, 1),
-            model_trained_on=model_a.training_day_range, arm="A",
+            model_trained_on=model_a.training_day_range, arm="A", out=_rows(columns, start, split),
         )
         log_b, report_b = run_day(
-            gt, policy_b, n_b, day, DayStream(cfg.seed, day, 2),
-            model_trained_on=model_b.training_day_range, arm="B",
+            gt, policy_b, n - n_a, day, DayStream(cfg.seed, day, 2),
+            model_trained_on=model_b.training_day_range, arm="B", out=_rows(columns, split, stop),
         )
         arm_reports["A"].append(report_a)
         arm_reports["B"].append(report_b)
-        all_logs.extend([log_a, log_b])
+        train_a, train_b = tally(log_a, cfg.spec), tally(log_b, cfg.spec)
         if shared_log:
-            train_a = train_b = Log.concat([log_a, log_b])
-        else:
-            train_a, train_b = log_a, log_b
+            train_a = train_b = sum_tallies([train_a, train_b])
     return ABResult(
         gt=gt,
         shared_log=shared_log,
         common_reports=common_reports,
         arm_reports=arm_reports,
-        log=Log.concat(all_logs),
+        log=_as_log(columns),
     )
 
 
@@ -465,10 +502,11 @@ def scenario_click_sale(
     log, log_report = run_day(
         gt, uniform_policy(cfg.spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
+    counts = tally(log, cfg.spec)
 
     def product_policy(sale_feats, click_feats, source):
-        sale_model = fit(log, FeatureSpec(sale_feats, ("a",), cfg.spec), target=TARGET_SALE_GIVEN_CLICK)
-        click_model = fit(log, FeatureSpec(click_feats, ("a",), cfg.spec), target=TARGET_CLICK)
+        sale_model = fit_counts(FeatureSpec(sale_feats, ("a",), cfg.spec), counts, TARGET_SALE_GIVEN_CLICK)
+        click_model = fit_counts(FeatureSpec(click_feats, ("a",), cfg.spec), counts, TARGET_CLICK)
         best = np.argmax(prediction_table(sale_model) * prediction_table(click_model), axis=-1)
         return greedy_policy(cfg.spec, best, _covariate_union(sale_feats, click_feats), source)
 
@@ -545,11 +583,12 @@ def scenario_two_decision(
     log, log_report = run_day(
         gt, uniform_policy(spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
-    joint_model = fit(log, FeatureSpec(("x1", "x2"), ("a", "d"), spec), target=TARGET_CLICK)
+    counts = tally(log, spec)
+    joint_model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
     joint_pol = epsilon_greedy(joint_model, 0.0, spec)
 
-    action_model = fit(log, FeatureSpec(x_prime, ("a",), spec), target=TARGET_CLICK)
-    decision_model = fit(log, FeatureSpec(x_dprime, ("d",), spec), target=TARGET_CLICK)
+    action_model = fit_counts(FeatureSpec(x_prime, ("a",), spec), counts, target=TARGET_CLICK)
+    decision_model = fit_counts(FeatureSpec(x_dprime, ("d",), spec), counts, target=TARGET_CLICK)
     best_a = np.argmax(prediction_table(action_model)[:, :, :, 0], axis=-1)
     best_d = np.argmax(prediction_table(decision_model)[:, :, 0, :], axis=-1)
     independent_pol = greedy_policy(

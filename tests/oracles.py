@@ -7,15 +7,16 @@ graph traversal, pure-Python loops with ``math.exp`` instead of
 vectorized einsums, central finite differences instead of analytic
 gradients, raw-row tallies instead of fitted-model counts for the
 support and standard error of a backdoor adjustment, one
-``json.dumps`` per row instead of the columnar NDJSON formatter, and a
+``json.dumps`` per row instead of the columnar NDJSON formatter, a
 REINFORCE loop that rebuilds its inputs every iteration and scatters
 with ``np.add.at`` instead of the search that builds them once and
-accumulates with ``bincount``, and a row sampler that gathers a CDF per
+accumulates with ``bincount``, a row sampler that gathers a CDF per
 row and caps each draw instead of counting entries of per-day lookup
-tables.  Tests
-freeze oracle outputs as literals wherever the value is a single number,
-so a regression in the oracle itself cannot mask a regression in the
-library.
+tables, and a fit that encodes every training row and sums float
+outcomes instead of summing out the integer cell tallies of a log.
+Tests freeze oracle outputs as literals wherever the value is a single
+number, so a regression in the oracle itself cannot mask a regression
+in the library.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from confoundsim import FactoredPolicyParams
+from confoundsim import TARGET_CLICK, TARGET_SALE_GIVEN_CLICK, FactoredPolicyParams, FittedModel, dim, encode
 from confoundsim.glm import prediction_table
 from confoundsim.numerics import sigmoid, softmax_rows
 
@@ -476,3 +477,65 @@ def reinforce_reference(model, init, config, gt):
             f"policy search failed to hold its ground: objective {start:.6f} -> {final:.6f}"
         )
     return params
+
+
+def _training_arrays(log, feature_spec, target):
+    """Encoded cell index and float outcome of each training row."""
+    if len(log) == 0:
+        raise ValueError("cannot fit on an empty log slice")
+    if target == TARGET_CLICK:
+        rows = log
+        outcome = log.c.astype(np.float64)
+    elif target == TARGET_SALE_GIVEN_CLICK:
+        if log.s is None:
+            raise ValueError("log has no sale outcomes; cannot fit a sale model")
+        rows = log._take(log.c == 1)
+        if len(rows) == 0:
+            raise ValueError("no clicked records; cannot fit a sale-given-click model")
+        outcome = rows.s.astype(np.float64)
+    else:
+        raise ValueError(f"target must be one of {(TARGET_CLICK, TARGET_SALE_GIVEN_CLICK)}")
+    d = rows.d if "d" in feature_spec.action_factors else None
+    idx = encode(feature_spec, rows.x1, rows.x2, rows.a, d)
+    return np.asarray(idx), outcome
+
+
+def fit_reference(log, feature_spec, target=TARGET_CLICK, pseudo_count=0.0):
+    """Saturated MLE by the row route: encode every training row, then
+    ``bincount`` the trials and the float-weighted successes per cell."""
+    if pseudo_count < 0:
+        raise ValueError("pseudo_count must be nonnegative")
+    idx, outcome = _training_arrays(log, feature_spec, target)
+    size = dim(feature_spec)
+    trials = np.bincount(idx, minlength=size)
+    n = trials.astype(np.float64)
+    k = np.bincount(idx, weights=outcome, minlength=size)
+    beta = np.zeros(size, dtype=np.float64)
+    visited = n > 0
+    p = (k[visited] + pseudo_count) / (n[visited] + 2.0 * pseudo_count)
+    with np.errstate(divide="ignore"):
+        beta[visited] = np.clip(np.log(p) - np.log1p(-p), -LOGIT_CAP, LOGIT_CAP)
+    return FittedModel(
+        feature_spec=feature_spec,
+        beta=beta,
+        target=target,
+        training_day_range=(int(log.day.min()), int(log.day.max())),
+        n_train=int(len(outcome)),
+        trials=trials,
+        successes=k,
+    )
+
+
+def log_likelihood(model, log) -> float:
+    """Bernoulli log-likelihood of the model's target on a log slice."""
+    idx, outcome = _training_arrays(log, model.feature_spec, model.target)
+    p = sigmoid(model.beta[idx])
+    return float(np.sum(outcome * np.log(p) + (1.0 - outcome) * np.log1p(-p)))
+
+
+def gradient(model, log) -> np.ndarray:
+    """Gradient of :func:`log_likelihood` in ``beta``: with one-hot
+    features, the per-cell sum of ``outcome - p``."""
+    idx, outcome = _training_arrays(log, model.feature_spec, model.target)
+    p = sigmoid(model.beta[idx])
+    return np.bincount(idx, weights=outcome - p, minlength=dim(model.feature_spec))

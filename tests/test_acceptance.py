@@ -507,6 +507,7 @@ class TestCriterion8Determinism:
 
         baseline = day_ndjson(workers=1)
         parallel = day_ndjson(workers=4)
+        chunks = -(-70_000 // confoundsim.scenarios.CHUNK_ROWS)
         monkeypatch.setattr(confoundsim.scenarios, "CHUNK_ROWS", 9_973)
         rechunked = day_ndjson(workers=3)
         chunk_ok = baseline == parallel == rechunked
@@ -515,7 +516,8 @@ class TestCriterion8Determinism:
         verdict(
             capsys, 8, ok,
             f"rerun of {len(trees[0])} artifacts byte-identical: {rerun_ok}; 70k-row day "
-            f"identical across 2-chunk serial, 2-chunk x 4 workers, 8-chunk x 3 workers: "
+            f"identical across {chunks}-chunk serial, {chunks}-chunk x 4 workers, "
+            f"{-(-70_000 // 9_973)}-chunk x 3 workers: "
             f"{chunk_ok} (runs took {elapsed[0]:.1f}s/{elapsed[1]:.1f}s)",
         )
         assert rerun_ok

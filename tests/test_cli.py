@@ -173,6 +173,15 @@ class TestABTest:
         assert not (tmp_path / "ab_test").exists()
 
 
+    def test_one_row_per_day_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "ab-test", "--out", str(tmp_path), "--samples-per-day", "1"
+        )
+        assert code == 2
+        assert "A/B" in err and "samples_per_day" in err
+        assert not (tmp_path / "ab_test").exists()
+
+
 class TestClickSale:
     def test_comparison_table(self, capsys, tmp_path):
         code, out, _ = run(capsys, "click-sale", "--out", str(tmp_path), *SMALL)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confoundsim import (
     TARGET_CLICK,
@@ -14,15 +16,16 @@ from confoundsim import (
     FittedModel,
     Log,
     fit,
-    gradient,
-    log_likelihood,
+    fit_counts,
     make_default_ground_truth,
     predict,
     prediction_table,
     run_day,
+    tally,
     uniform_policy,
 )
-from oracles import central_difference, newton_fit
+from confoundsim.glm import sum_tallies
+from oracles import central_difference, fit_reference, gradient, log_likelihood, newton_fit
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 SMALL = CategoricalSpec(k1=2, k2=2, n_actions=2)
@@ -244,3 +247,107 @@ class TestSerialization:
         fs = FeatureSpec(("x1",), ("a",), SMALL)
         with pytest.raises(ValueError):
             FittedModel(fs, np.full(4, 16.0), TARGET_CLICK, (0, 0), 0)
+
+
+COUNT_SPECS = (
+    SMALL,
+    CategoricalSpec(k1=3, k2=4, n_actions=5),
+    CategoricalSpec(k1=2, k2=3, n_actions=2, n_decisions=3),
+)
+COVARIATE_SUBSETS = ((), ("x1",), ("x2",), ("x1", "x2"))
+
+
+def random_log(spec, day_sizes, with_sales, with_d, seed):
+    """A day-ordered log of uniform random rows, ``day_sizes[i]`` rows on day i."""
+    rng = np.random.default_rng(seed)
+    n = sum(day_sizes)
+    c = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int8)
+    s = None
+    if with_sales:
+        s = np.where(c == 1, (rng.random(n) < 0.5).astype(np.int8), np.int8(-1))
+    return Log(
+        day=np.repeat(np.arange(len(day_sizes), dtype=np.int32), day_sizes),
+        x1=rng.integers(0, spec.k1, n, dtype=np.int32),
+        x2=rng.integers(0, spec.k2, n, dtype=np.int32),
+        a=rng.integers(0, spec.n_actions, n, dtype=np.int32),
+        propensity=np.full(n, 0.5),
+        c=c,
+        d=rng.integers(0, spec.n_decisions, n, dtype=np.int32) if with_d else None,
+        s=s,
+    )
+
+
+def outcome(route):
+    """What a fit route returns, or the message of the ValueError it raises."""
+    try:
+        return route()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_fit(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.beta.tobytes() == want.beta.tobytes()
+    np.testing.assert_array_equal(got.trials, want.trials)
+    np.testing.assert_array_equal(got.successes, want.successes)
+    assert (got.n_train, got.training_day_range) == (want.n_train, want.training_day_range)
+    assert (got.feature_spec, got.target) == (want.feature_spec, want.target)
+
+
+class TestCountRouteMatchesRowRoute:
+    """fit (tally, then fit_counts) reproduces the row route of
+    ``oracles.fit_reference`` bit for bit, errors included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=st.sampled_from(COUNT_SPECS),
+        day_sizes=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+        with_sales=st.booleans(),
+        included=st.sampled_from(COVARIATE_SUBSETS),
+        action_factors=st.sampled_from((("a",), ("d",), ("a", "d"))),
+        target=st.sampled_from((TARGET_CLICK, TARGET_SALE_GIVEN_CLICK)),
+        pseudo_count=st.sampled_from((0.0, 0.5, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_matches_reference(
+        self, spec, day_sizes, with_sales, included, action_factors, target, pseudo_count, seed
+    ):
+        with_d = spec.n_decisions is not None
+        if not with_d:
+            action_factors = ("a",)
+        fs = FeatureSpec(included, action_factors, spec)
+        log = random_log(spec, day_sizes, with_sales, with_d, seed)
+        want = outcome(lambda: fit_reference(log, fs, target, pseudo_count))
+        assert_same_fit(outcome(lambda: fit(log, fs, target, pseudo_count)), want)
+        # Tallies of day slices add up to the tally of the whole log.
+        days = sum_tallies(tally(log.day_slice(day), spec) for day in range(len(day_sizes)))
+        assert_same_fit(outcome(lambda: fit_counts(fs, days, target, pseudo_count)), want)
+
+    @pytest.mark.parametrize(
+        "make_log,features,target",
+        [
+            (Log.empty, ("x1",), TARGET_CLICK),
+            (lambda: cell_log(3, 10), ("x1",), TARGET_SALE_GIVEN_CLICK),
+            (lambda: Log(**{**cell_log(0, 10).__dict__, "s": np.full(10, -1, np.int8)}), ("x1",), TARGET_SALE_GIVEN_CLICK),
+            (lambda: cell_log(3, 10, x1=2), ("x1",), TARGET_CLICK),
+            (lambda: cell_log(3, 10, x2=-1), ("x1", "x2"), TARGET_CLICK),
+            (lambda: cell_log(3, 10, a=5), (), TARGET_CLICK),
+        ],
+        ids=["empty", "no-sales", "no-clicks", "x1-range", "x2-range", "a-range"],
+    )
+    def test_errors_match_reference(self, make_log, features, target):
+        log = make_log()
+        fs = FeatureSpec(features, ("a",), SMALL)
+        want = outcome(lambda: fit_reference(log, fs, target))
+        assert want.startswith("ValueError: ")
+        assert outcome(lambda: fit(log, fs, target)) == want
+
+    def test_missing_decision_column_matches_reference(self):
+        spec = COUNT_SPECS[2]
+        log = random_log(spec, [20], with_sales=False, with_d=False, seed=0)
+        fs = FeatureSpec(("x1",), ("a", "d"), spec)
+        want = outcome(lambda: fit_reference(log, fs))
+        assert want == "ValueError: action factor 'd' is required by this feature spec"
+        assert outcome(lambda: fit(log, fs)) == want

@@ -1,6 +1,8 @@
 """Scenario tests: single-day simulation and the four studies."""
 
+import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from confoundsim import (
 from confoundsim.fixtures import (
     CLICK_SALE_MARGIN,
     CLICK_SALE_SEEDS,
+    FIXTURE_SEEDS,
     SEPARABLE_SEEDS,
     TWO_DECISION_MARGIN,
     TWO_DECISION_SEEDS,
@@ -36,7 +39,7 @@ from confoundsim.fixtures import (
 )
 from confoundsim.numerics import inverse_cdf
 from confoundsim.policy import greedy_policy
-from confoundsim.scenarios import _day_tables, _simulate_chunk
+from confoundsim.scenarios import LOG_COLUMNS, _day_tables, _empty_columns, _simulate_chunk
 from conftest import all_reports, ndjson_text
 from oracles import simulate_chunk_reference
 
@@ -113,6 +116,34 @@ class TestRunDay:
         gt = make_default_ground_truth(SPEC, seed=0)
         with pytest.raises(ValueError):
             run_day(gt, uniform_policy(SPEC), 0, 0, DayStream(0, 0, 0))
+
+    def test_out_receives_the_day_in_place(self):
+        gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02, with_sales=True)
+        fresh, report = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A")
+        whole = tuple(None if col is None else np.zeros_like(col) for col in _empty_columns(gt, 6_000, True))
+        out = tuple(None if col is None else col[500:5_500] for col in whole)
+        log, same = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A", out=out)
+        assert same == report
+        assert ndjson_text(log) == ndjson_text(fresh)
+        for name, col in zip(LOG_COLUMNS, out):
+            if col is not None:
+                assert np.shares_memory(getattr(log, name), col), name
+        assert not whole[1][:500].any() and not whole[1][5_500:].any()
+
+    @pytest.mark.parametrize("fault", ["length", "dtype", "missing", "extra"])
+    def test_out_must_match_the_day(self, fault):
+        gt = make_default_ground_truth(SPEC, seed=0)  # no decision axis, no sales
+        out = list(_empty_columns(gt, 100, with_arm=False))
+        if fault == "length":
+            out[LOG_COLUMNS.index("x1")] = np.zeros(99, dtype=np.int32)
+        elif fault == "dtype":
+            out[LOG_COLUMNS.index("propensity")] = np.zeros(100, dtype=np.float32)
+        elif fault == "missing":
+            out[LOG_COLUMNS.index("c")] = None
+        else:
+            out[LOG_COLUMNS.index("s")] = np.zeros(100, dtype=np.int8)
+        with pytest.raises(ValueError, match="out must hold"):
+            run_day(gt, uniform_policy(SPEC), 100, 0, DayStream(0, 0, 0), out=tuple(out))
 
 
 COLUMNS = ("x1", "x2", "a", "d", "propensity", "c", "s")
@@ -336,6 +367,39 @@ class TestABTest:
         with pytest.raises(ValueError):
             scenario_ab_test(ScenarioConfig(ab_start_day=0, samples_per_day=1000))
 
+    def test_one_row_per_day_cannot_split_before_any_day_is_run(self, monkeypatch):
+        def no_day(*args, **kwargs):
+            raise AssertionError("a day was simulated")
+
+        monkeypatch.setattr(confoundsim.scenarios, "run_day", no_day)
+        with pytest.raises(ValueError, match="A/B"):
+            scenario_ab_test(ScenarioConfig(samples_per_day=1))
+
+    def test_log_is_one_set_of_columns_in_day_and_arm_order(self):
+        res = scenario_ab_test(DESK, shared_log=True)
+        n = DESK.samples_per_day
+        assert len(res.log) == DESK.days * n
+        days = np.repeat(np.arange(DESK.days), n)
+        np.testing.assert_array_equal(res.log.day, days)
+        arms = np.tile(np.repeat([0, 1], [n // 2, n - n // 2]), DESK.days)
+        arms[: DESK.ab_start_day * n] = -1
+        np.testing.assert_array_equal(res.log.arm, arms)
+
+    def test_peak_memory_stays_near_the_log(self):
+        """Days are written into the scenario's log in place: no day log,
+        shared training log or final log is a second copy of the rows."""
+        tracemalloc.start()
+        try:
+            res = scenario_ab_test(ScenarioConfig(seed=0), shared_log=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log = res.log
+        columns = (log.day, log.x1, log.x2, log.a, log.propensity, log.c, log.d, log.s, log.arm)
+        nbytes = sum(col.nbytes for col in columns if col is not None)
+        assert nbytes == 6 * 400_000 * 26
+        assert peak <= 1.35 * nbytes, peak / nbytes
+
 
 class TestClickSale:
     @pytest.mark.parametrize("seed", CLICK_SALE_SEEDS[:3])
@@ -424,6 +488,22 @@ class TestTwoDecision:
         cfg = ScenarioConfig(spec=TWO_DECISION_SPEC, samples_per_day=1000)
         with pytest.raises(ValueError):
             scenario_two_decision(cfg, gt=separable_two_decision_truth())
+
+
+# SHA-256 over the repr of every DayReport of the sweep, seeds in
+# FIXTURE_SEEDS order and each seed's reports in conftest.all_reports order.
+# Recorded from the library that assembled each scenario log with Log.concat
+# and fit every model on rows; the in-place, count-based loop must keep it.
+SWEEP_DIGEST = "5760ee2181f7d043645a33588411c61714489d5ffed7922ef8643a3c7f7dabcd"
+
+
+class TestSweepDigest:
+    def test_day_reports_of_the_full_sweep_are_unchanged(self, day_loop_sweep):
+        h = hashlib.sha256()
+        for seed in FIXTURE_SEEDS:
+            for report in all_reports(day_loop_sweep[seed]):
+                h.update(repr(report).encode())
+        assert h.hexdigest() == SWEEP_DIGEST
 
 
 class TestCalibration:
