@@ -23,6 +23,9 @@ ARM_CODES = {label: code for code, label in ARM_LABELS.items()}
 # Rows formatted per write in Log.to_ndjson; bounds the export's extra memory.
 NDJSON_CHUNK_ROWS = 8192
 
+# Rows per block of Log's validity checks; bounds their temporaries.
+VALIDATE_ROWS = 1 << 16
+
 # The NDJSON keys in the order json.dumps(sort_keys=True) writes them, each
 # with the text it writes for one column value: the key, the value and the
 # separator after it, or "" where the key is omitted.  "a" and "x2" are always
@@ -84,11 +87,17 @@ class Log:
             col = getattr(self, name)
             if col is not None and len(col) != n:
                 raise ValueError(f"column {name!r} length mismatch")
-        if n and np.any(np.diff(self.day) < 0):
+        # Each check runs over blocks of VALIDATE_ROWS rows, so its
+        # temporaries stay small however long the log is; the day check
+        # reads one row past its block to compare across block edges.
+        day = self.day
+        if _any_block(n, lambda lo, hi: np.any(np.diff(day[lo : hi + 1]) < 0)):
             raise ValueError("rows must be ordered by nondecreasing day")
-        if not np.all((self.propensity > 0) & (self.propensity <= 1)):
+        p = self.propensity
+        if _any_block(n, lambda lo, hi: not np.all((p[lo:hi] > 0) & (p[lo:hi] <= 1))):
             raise ValueError("propensities must lie in (0, 1]")
-        if self.s is not None and np.any((self.c == 0) & (self.s != -1)):
+        c, s = self.c, self.s
+        if s is not None and _any_block(n, lambda lo, hi: np.any((c[lo:hi] == 0) & (s[lo:hi] != -1))):
             raise ValueError("sale outcome must be absent (-1) when c == 0")
 
     @classmethod
@@ -199,6 +208,12 @@ class Log:
         for lo in range(0, len(self), NDJSON_CHUNK_ROWS):
             fields = [_fragments(col[lo : lo + NDJSON_CHUNK_ROWS], text) for col, text in columns]
             fh.write("".join(map("".join, zip(*fields))))
+
+
+def _any_block(n: int, bad) -> bool:
+    """Whether ``bad(lo, hi)`` holds for some block ``[lo, hi)`` of at most
+    :data:`VALIDATE_ROWS` rows tiling ``[0, n)``."""
+    return any(bad(lo, min(lo + VALIDATE_ROWS, n)) for lo in range(0, n, VALIDATE_ROWS))
 
 
 def _fragments(col: np.ndarray, text) -> list:

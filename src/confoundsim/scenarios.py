@@ -17,8 +17,10 @@ modularised sub-models and factored policy learning.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +47,7 @@ from .logs import ARM_CODES, Log
 from .numerics import sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
-from .streams import DayStream
+from .streams import UNIFORMS_PER_ROW, DayStream
 
 __all__ = [
     "ABResult",
@@ -230,41 +232,42 @@ def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     )
 
 
-def _simulate_chunk(tables: _DayTables, u: np.ndarray):
+def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u3: np.ndarray) -> None:
     """Inverse-CDF simulation of one chunk of rows from the day's tables.
 
     x1 counts the CDF entries at or below its uniform (numpy's
     ``searchsorted(side="right")`` rule); x2 and the action cell count the
-    entries strictly below theirs.  Returns ``(x1, x2, a, d, propensity, c,
-    s)``: int32 covariates and actions, float64 propensities and int8
-    outcomes, with ``d`` or ``s`` None when the environment has no decision
-    axis or no sale mechanism.
+    entries strictly below theirs.  Writes ``(x1, x2, a, d, propensity, c,
+    s)`` into the length-``len(u)`` columns of ``out``: int32 covariates
+    and actions, float64 propensities and int8 outcomes, with ``d`` or
+    ``s`` None when the environment has no decision axis or no sale
+    mechanism.  ``u3`` is ``(3, len(u))`` float64 scratch that receives a
+    contiguous copy of the three uniforms the CDF loops reuse.
     """
     spec = tables.spec
-    n = len(u)
-    u0, u1, u2 = np.ascontiguousarray(u[:, :3].T)
-    x1 = np.zeros(n, dtype=np.int32)
+    x1, x2, a, d, propensity, c, s = out
+    np.copyto(u3, u[:, :3].T)
+    u0, u1, u2 = u3
+    x1.fill(0)
     for entry in tables.x1_cdf:
         x1 += entry <= u0
-    x2 = np.zeros(n, dtype=np.int32)
+    x2.fill(0)
     for row in tables.x2_cdf:
         x2 += row.take(x1) < u1
     context = x1 * spec.k2 + x2
-    cell = np.zeros(n, dtype=np.int32)
+    cell = a if d is None else np.empty_like(a)
+    cell.fill(0)
     for row in tables.cell_cdf:
         cell += row.take(context) < u2
     flat = context * spec.action_cells + cell
-    propensity = tables.propensity.take(flat)
-    c = (u[:, 3] < tables.p_click.take(flat)).view(np.int8)
-    if spec.n_decisions is None:
-        a, d = cell, None
-    else:
-        a, d = np.divmod(cell, spec.n_decisions)
-    s = None
-    if tables.p_sale is not None:
-        sale = (u[:, 4] < tables.p_sale.take(context * spec.n_actions + a)).view(np.int8)
-        s = np.where(c == 1, sale, np.int8(-1))
-    return x1, x2, a, d, propensity, c, s
+    tables.propensity.take(flat, out=propensity)
+    clicked = c.view(np.bool_)
+    np.less(u[:, 3], tables.p_click.take(flat), out=clicked)
+    if d is not None:
+        np.divmod(cell, spec.n_decisions, out=(a, d))
+    if s is not None:
+        np.less(u[:, 4], tables.p_sale.take(context * spec.n_actions + a), out=s.view(np.bool_))
+        np.copyto(s, np.int8(-1), where=~clicked)
 
 
 def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
@@ -291,6 +294,16 @@ def _as_log(columns: tuple) -> Log:
     return Log(**dict(zip(LOG_COLUMNS, columns)))
 
 
+def _worker_count(workers, chunks: int) -> int:
+    """Threads for a day of ``chunks`` chunks: ``workers``, or by default
+    one per CPU this process may run on, capped at the chunk count."""
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
+    return min(int(workers), chunks)
+
+
 def run_day(
     gt: GroundTruth,
     policy: Policy,
@@ -299,7 +312,7 @@ def run_day(
     stream: DayStream,
     model_trained_on=None,
     arm: str | None = None,
-    workers: int = 1,
+    workers: int | None = None,
     out: tuple | None = None,
 ):
     """Simulate one day of traffic under a fixed policy.
@@ -309,6 +322,13 @@ def run_day(
     whatever ``workers`` is and however the chunks are scheduled.  The CDF
     and probability lookup tables are built once per call from ``gt`` and
     ``policy``, and each chunk writes its own slice of the log columns.
+
+    With ``w`` workers, stripe ``k`` is chunks ``k, k + w, ...``.  The
+    calling thread runs stripe 0 and a helper thread each other stripe; a
+    day of one chunk starts no thread.  ``workers`` defaults to one per
+    CPU the process may run on.  Each stripe refills one uniform block and
+    one scratch copy per chunk, allocated here by the calling thread, so a
+    helper thread's own allocations stay small.
 
     ``out`` is the destination, as in numpy's ``out=``: one length-``n``
     array per name in :data:`LOG_COLUMNS`, of the log's dtype, or None
@@ -323,6 +343,9 @@ def run_day(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    chunk_rows = CHUNK_ROWS
+    starts = range(0, n, chunk_rows)
+    stripes = _worker_count(workers, len(starts))
     dtypes = _column_dtypes(gt, arm is not None)
     if out is None:
         out = _empty_columns(gt, n, arm is not None)
@@ -334,20 +357,24 @@ def run_day(
     tables = _day_tables(gt, policy)
     # The sampler's (x1, x2, a, d, propensity, c, s), in LOG_COLUMNS order.
     sampled = out[1:8]
+    rows = min(chunk_rows, n)
+    buffers = [(np.empty((rows, UNIFORMS_PER_ROW)), np.empty((3, rows))) for _ in range(stripes)]
 
-    def one(start):
-        stop = min(start + CHUNK_ROWS, n)
-        for col, part in zip(sampled, _simulate_chunk(tables, stream.uniforms(start, stop - start))):
-            if col is not None:
-                col[start:stop] = part
+    def stripe(k):
+        u, u3 = buffers[k]
+        for start in starts[k::stripes]:
+            stop = min(start + chunk_rows, n)
+            m = stop - start
+            _simulate_chunk(tables, stream.uniforms(start, m, u[:m]), _rows(sampled, start, stop), u3[:, :m])
 
-    starts = range(0, n, CHUNK_ROWS)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, starts))
+    if stripes == 1:
+        stripe(0)
     else:
-        for start in starts:
-            one(start)
+        with ThreadPoolExecutor(max_workers=stripes - 1) as pool:
+            helpers = [pool.submit(stripe, k) for k in range(1, stripes)]
+            stripe(0)
+            for helper in helpers:
+                helper.result()
     out[0][:] = day
     if arm is not None:
         out[8][:] = ARM_CODES[arm]

@@ -10,6 +10,7 @@ order, serially or in parallel, and the resulting log is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +48,28 @@ class DayStream:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
+    @cached_property
     def _key(self) -> np.ndarray:
+        """The Philox key, derived once per stream.  It is kept in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and repr see only ``(seed, day, substream)``."""
         ss = np.random.SeedSequence([int(self.seed), int(self.day), int(self.substream)])
         return ss.generate_state(2, np.uint64)
 
-    def uniforms(self, start: int, count: int) -> np.ndarray:
+    def uniforms(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform draws for rows ``start .. start + count - 1``.
 
         Returns a ``(count, UNIFORMS_PER_ROW)`` float64 array that does not
-        depend on how the row range is partitioned into calls.
+        depend on how the row range is partitioned into calls.  ``out``, as
+        in numpy's ``out=``, is a C-contiguous float64 array of that shape
+        to fill and return instead of a fresh one.
         """
         if start < 0 or count < 0:
             raise ValueError("start and count must be nonnegative")
-        bg = np.random.Philox(key=self._key())
+        # numpy fills an F-ordered out in memory order, which would put
+        # each row's draws down a column.
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        bg = np.random.Philox(key=self._key)
         bg.advance(start * UNIFORMS_PER_ROW // _DRAWS_PER_BLOCK)
-        return np.random.Generator(bg).random((count, UNIFORMS_PER_ROW))
+        return np.random.Generator(bg).random((count, UNIFORMS_PER_ROW), out=out)

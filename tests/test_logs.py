@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confoundsim import Interaction, Log
-from confoundsim.logs import NDJSON_CHUNK_ROWS
+from confoundsim.logs import NDJSON_CHUNK_ROWS, VALIDATE_ROWS
 from conftest import ndjson_text
 from oracles import ndjson_reference
 
@@ -123,6 +123,26 @@ class TestInvariants:
                 propensity=log.propensity,
                 c=log.c,
             )
+
+    @pytest.mark.parametrize("row", [VALIDATE_ROWS - 1, VALIDATE_ROWS, 2 * VALIDATE_ROWS])
+    def test_day_order_checked_across_validation_blocks(self, row):
+        # Rows row - 1 and row straddle a block edge when row is a multiple
+        # of VALIDATE_ROWS; the last block holds one row.
+        n = 2 * VALIDATE_ROWS + 1
+        day = np.ones(n, dtype=np.int32)
+        day[row:] = 0
+        zeros = np.zeros(n, dtype=np.int32)
+        with pytest.raises(ValueError, match="nondecreasing day"):
+            Log(day=day, x1=zeros, x2=zeros, a=zeros, propensity=np.ones(n), c=np.zeros(n, dtype=np.int8))
+
+    @pytest.mark.parametrize("column", ["propensity", "s"])
+    def test_faults_in_a_later_block_are_caught(self, column):
+        n = 2 * VALIDATE_ROWS + 1
+        zeros = np.zeros(n, dtype=np.int32)
+        propensity, s = np.ones(n), np.full(n, -1, dtype=np.int8)
+        {"propensity": propensity, "s": s}[column][n - 1] = 0
+        with pytest.raises(ValueError, match="propensities" if column == "propensity" else "sale outcome"):
+            Log(day=zeros, x1=zeros, x2=zeros, a=zeros, propensity=propensity, c=np.zeros(n, dtype=np.int8), s=s)
 
 
 class TestSlicing:

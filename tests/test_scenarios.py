@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -83,9 +84,28 @@ class TestRunDay:
     def test_worker_count_does_not_change_the_log(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02)
         n = CHUNK_ROWS + 1234
-        serial, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0))
+        serial, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=1)
         threaded, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=4)
-        assert ndjson_text(serial) == ndjson_text(threaded)
+        numpy_count, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=np.int64(2))
+        assert ndjson_text(serial) == ndjson_text(threaded) == ndjson_text(numpy_count)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, np.bool_(True), "2"])
+    def test_bad_worker_count_rejected(self, workers):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        with pytest.raises(ValueError, match="workers must be a positive integer or None"):
+            run_day(gt, uniform_policy(SPEC), 100, 0, DayStream(0, 0, 0), workers=workers)
+
+    def test_a_one_chunk_day_starts_no_thread(self, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02)
+        for workers in (None, 4):
+            run_day(gt, uniform_policy(SPEC), CHUNK_ROWS, 0, DayStream(1, 0, 0), workers=workers)
+        # The patch does catch the helper thread of a two-chunk day.
+        with pytest.raises(AssertionError, match="thread started"):
+            run_day(gt, uniform_policy(SPEC), CHUNK_ROWS + 1, 0, DayStream(1, 0, 0), workers=2)
 
     def test_report_metadata(self):
         gt = make_default_ground_truth(SPEC, seed=0, min_gap=0.02)
@@ -170,6 +190,17 @@ def sampler_policy(spec, kind, epsilon, rng):
     return greedy_policy(spec, best, ("x1", "x2"), kind, None if kind == "one-hot" else epsilon)
 
 
+def simulate_chunk(gt, policy, u):
+    """_simulate_chunk's columns for ``u``, written over columns that start
+    out as junk bytes so every byte must come from the sampler."""
+    out = _empty_columns(gt, len(u), with_arm=False)[1:8]
+    for col in out:
+        if col is not None:
+            col.view(np.uint8).fill(0x5A)
+    _simulate_chunk(_day_tables(gt, policy), u, out, np.empty((3, len(u))))
+    return out
+
+
 def reference_columns(gt, policy, u):
     """The reference chunk with run_day's int32 cast of covariates and actions."""
     cols = list(simulate_chunk_reference(gt, policy, u))
@@ -205,7 +236,7 @@ class TestSamplerByteContract:
         gt = make_default_ground_truth(spec, seed, min_gap=0.0, with_sales=with_sales)
         policy = sampler_policy(spec, kind, epsilon, np.random.default_rng(seed))
         u = DayStream(seed, 1, 0).uniforms(chunk * CHUNK_ROWS, rows)
-        assert_same_columns(_simulate_chunk(_day_tables(gt, policy), u), reference_columns(gt, policy, u))
+        assert_same_columns(simulate_chunk(gt, policy, u), reference_columns(gt, policy, u))
 
     def test_ties_and_cap(self):
         # Every CDF is [0.25, 0.5, 1 - 2**-52]: its last entry rounds short
@@ -231,7 +262,7 @@ class TestSamplerByteContract:
             [0.0, 0.0, 0.0],
             [0.25, U_TOP, 0.5],
         ]
-        got = _simulate_chunk(_day_tables(gt, policy), u)
+        got = simulate_chunk(gt, policy, u)
         assert got[0].tolist() == [1, 2, 1, 2, 0, 1]
         assert got[1].tolist() == [0, 1, 1, 2, 0, 2]
         assert got[2].tolist() == [0, 1, 1, 2, 0, 1]
@@ -274,14 +305,17 @@ class TestSamplerByteContract:
             return ndjson_text(log)
 
         serial = day_ndjson(workers=1)
-        # Three threads write disjoint slices of the same columns; a short
-        # switch interval makes them interleave as often as possible.
+        # Threads write disjoint slices of the same columns; a short switch
+        # interval makes them interleave as often as possible.  None is the
+        # default, one stripe per CPU the process may run on.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert day_ndjson(workers=3) == serial
+            assert day_ndjson(workers=None) == serial
             monkeypatch.setattr(confoundsim.scenarios, "CHUNK_ROWS", 9_973)
             assert day_ndjson(workers=3) == serial
+            assert day_ndjson(workers=None) == serial
         finally:
             sys.setswitchinterval(interval)
 

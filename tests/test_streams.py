@@ -60,3 +60,40 @@ def test_rows_are_block_aligned():
     full = stream.uniforms(0, 64)
     for row in (0, 1, 31, 63):
         np.testing.assert_array_equal(stream.uniforms(row, 1)[0], full[row])
+
+
+def test_out_is_filled_with_the_same_draws():
+    stream = DayStream(seed=7, day=1, substream=1)
+    out = np.full((40, UNIFORMS_PER_ROW), -1.0)
+    assert stream.uniforms(24, 40, out) is out
+    np.testing.assert_array_equal(out, stream.uniforms(24, 40))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((39, UNIFORMS_PER_ROW)), np.empty((UNIFORMS_PER_ROW, 40)).T],
+    ids=["shape", "F-order"],
+)
+def test_out_must_be_a_c_ordered_block_of_the_rows(out):
+    with pytest.raises(ValueError):
+        DayStream(seed=7, day=1, substream=1).uniforms(0, 40, out)
+
+
+def test_key_is_derived_once_per_stream(monkeypatch):
+    seeds = []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda entropy: seeds.append(entropy) or seed_sequence(entropy))
+    stream = DayStream(seed=3, day=2, substream=1)
+    stream.uniforms(0, 10)
+    stream.uniforms(10, 10)
+    assert seeds == [[3, 2, 1]]
+
+
+def test_cached_key_leaves_equality_hash_and_repr_alone():
+    drawn = DayStream(seed=3, day=2, substream=1)
+    drawn.uniforms(0, 1)
+    fresh = DayStream(seed=3, day=2, substream=1)
+    assert drawn == fresh
+    assert hash(drawn) == hash(fresh)
+    assert repr(drawn) == repr(fresh) == "DayStream(seed=3, day=2, substream=1)"
+    assert drawn != DayStream(seed=3, day=2, substream=2)
