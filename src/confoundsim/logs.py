@@ -3,8 +3,7 @@
 A :class:`Log` stores one simulated impression per row in parallel numpy
 arrays (day, covariates, action, behaviour-policy propensity, click and
 optional sale outcomes, optional A/B arm).  Rows are ordered by day so a
-day slice is a contiguous range.  :class:`Interaction` is the scalar view
-of a single row.
+day slice is a contiguous range.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ARM_LABELS", "Interaction", "Log"]
+__all__ = ["ARM_LABELS", "Log"]
 
 # Arm codes stored in the log; -1 marks rows logged outside any A/B split.
 ARM_LABELS = {-1: "", 0: "A", 1: "B"}
@@ -41,21 +40,6 @@ _NDJSON_FIELDS = (
     ("x1", lambda v: f'"x1": {int(v)}, '),
     ("x2", lambda v: f'"x2": {int(v)}}}\n'),
 )
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One logged impression."""
-
-    day: int
-    x1: int
-    x2: int
-    a: int
-    propensity: float
-    c: int
-    d: int | None = None
-    s: int | None = None
-    arm: str | None = None
 
 
 @dataclass
@@ -89,9 +73,10 @@ class Log:
                 raise ValueError(f"column {name!r} length mismatch")
         # Each check runs over blocks of VALIDATE_ROWS rows, so its
         # temporaries stay small however long the log is; the day check
-        # reads one row past its block to compare across block edges.
+        # reads one row past its block to compare across block edges, and
+        # compares neighbours rather than subtracting them, which can wrap.
         day = self.day
-        if _any_block(n, lambda lo, hi: np.any(np.diff(day[lo : hi + 1]) < 0)):
+        if _any_block(n, lambda lo, hi: _descends(day[lo : hi + 1])):
             raise ValueError("rows must be ordered by nondecreasing day")
         p = self.propensity
         if _any_block(n, lambda lo, hi: not np.all((p[lo:hi] > 0) & (p[lo:hi] <= 1))):
@@ -100,37 +85,8 @@ class Log:
         if s is not None and _any_block(n, lambda lo, hi: np.any((c[lo:hi] == 0) & (s[lo:hi] != -1))):
             raise ValueError("sale outcome must be absent (-1) when c == 0")
 
-    @classmethod
-    def empty(cls, with_decisions=False, with_sales=False, with_arms=False) -> "Log":
-        z = np.zeros(0, dtype=np.int32)
-        return cls(
-            day=z.copy(),
-            x1=z.copy(),
-            x2=z.copy(),
-            a=z.copy(),
-            propensity=np.zeros(0, dtype=np.float64),
-            c=np.zeros(0, dtype=np.int8),
-            d=z.copy() if with_decisions else None,
-            s=np.zeros(0, dtype=np.int8) if with_sales else None,
-            arm=np.zeros(0, dtype=np.int8) if with_arms else None,
-        )
-
     def __len__(self) -> int:
         return len(self.day)
-
-    def __getitem__(self, i: int) -> Interaction:
-        s = None if self.s is None else int(self.s[i])
-        return Interaction(
-            day=int(self.day[i]),
-            x1=int(self.x1[i]),
-            x2=int(self.x2[i]),
-            a=int(self.a[i]),
-            propensity=float(self.propensity[i]),
-            c=int(self.c[i]),
-            d=None if self.d is None else int(self.d[i]),
-            s=None if s == -1 else s,
-            arm=None if self.arm is None else ARM_LABELS[int(self.arm[i])],
-        )
 
     @property
     def days(self) -> np.ndarray:
@@ -199,15 +155,19 @@ class Log:
         ``repr(float)``.  ``"d"`` appears only when the log has a decision
         column, ``"s"`` only on rows whose sale outcome is observed (not
         -1), and ``"arm"`` only on rows inside an A/B split (arm code not
-        -1).  Rows are formatted and written in chunks of at most
-        ``NDJSON_CHUNK_ROWS``, one ``fh.write`` per chunk.
+        -1).  Rows are written in chunks of at most ``NDJSON_CHUNK_ROWS``,
+        one ``fh.write`` per chunk; each distinct line of a chunk is
+        formatted once, from one row that holds it (:func:`_distinct_rows`).
         """
         columns = [
             (col, text) for key, text in _NDJSON_FIELDS if (col := getattr(self, key)) is not None
         ]
         for lo in range(0, len(self), NDJSON_CHUNK_ROWS):
-            fields = [_fragments(col[lo : lo + NDJSON_CHUNK_ROWS], text) for col, text in columns]
-            fh.write("".join(map("".join, zip(*fields))))
+            chunk = [col[lo : lo + NDJSON_CHUNK_ROWS] for col, _ in columns]
+            rows, inverse = _distinct_rows(chunk)
+            fields = [_fragments(col[lo + rows], text) for col, text in columns]
+            lines = np.array(list(map("".join, zip(*fields))), dtype=object)
+            fh.write("".join(lines[inverse].tolist()))
 
 
 def _any_block(n: int, bad) -> bool:
@@ -216,8 +176,47 @@ def _any_block(n: int, bad) -> bool:
     return any(bad(lo, min(lo + VALIDATE_ROWS, n)) for lo in range(0, n, VALIDATE_ROWS))
 
 
+def _descends(a: np.ndarray) -> bool:
+    """Whether some element of ``a`` is less than the one before it."""
+    return bool(np.any(a[1:] < a[:-1]))
+
+
 def _fragments(col: np.ndarray, text) -> list:
     """``text`` of each element of ``col``, called once per distinct value."""
     values, inverse = np.unique(col, return_inverse=True)
     table = [text(v) for v in values.tolist()]
     return [table[i] for i in inverse.tolist()]
+
+
+def _distinct_rows(cols) -> tuple:
+    """``(rows, inverse)`` over the rows of the equal-length columns
+    ``cols``: ``rows`` holds the index of one row of each distinct row
+    (equal in every column), and ``inverse[i]`` the position in ``rows``
+    of row ``i``'s.
+
+    The columns combine into one int64 key per row in mixed radix.  Floats
+    enter by bit pattern, so two values whose ``repr`` differs never share
+    a key.  A column spanning fewer than 2**32 values adds its value less
+    its minimum, a wider one its ``np.unique`` code.  Before the radix
+    product would reach 2**62 the running key is re-coded by ``np.unique``,
+    which bounds it by the row count.
+    """
+    key, span = np.zeros(len(cols[0]), dtype=np.int64), 1
+    for col in cols:
+        col = col.astype(np.float64).view(np.int64) if col.dtype.kind == "f" else col.astype(np.int64)
+        low = int(col.min())
+        radix = int(col.max()) - low + 1
+        if radix < 2**32:
+            code = col - low
+        else:
+            values, code = np.unique(col, return_inverse=True)
+            radix = len(values)
+        if span * radix >= 2**62:
+            values, key = np.unique(key, return_inverse=True)
+            span = len(values)
+        key += code * span
+        span *= radix
+    values, inverse = np.unique(key, return_inverse=True)
+    rows = np.empty(len(values), dtype=np.intp)
+    rows[inverse] = np.arange(len(key))
+    return rows, inverse

@@ -7,7 +7,7 @@ graph traversal, pure-Python loops with ``math.exp`` instead of
 vectorized einsums, central finite differences instead of analytic
 gradients, raw-row tallies instead of fitted-model counts for the
 support and standard error of a backdoor adjustment, one
-``json.dumps`` per row instead of the columnar NDJSON formatter, a
+``json.dumps`` per row instead of the keyed NDJSON formatter, a
 REINFORCE loop that rebuilds its inputs every iteration and scatters
 with ``np.add.at`` instead of the search that builds them once and
 accumulates with ``bincount``, a row sampler that gathers a CDF per
@@ -24,11 +24,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from confoundsim import TARGET_CLICK, TARGET_SALE_GIVEN_CLICK, FactoredPolicyParams, FittedModel, dim, encode
 from confoundsim.glm import prediction_table
+from confoundsim.logs import ARM_LABELS
 from confoundsim.numerics import sigmoid, softmax_rows
 
 LOGIT_CAP = 15.0
@@ -72,6 +74,39 @@ def newton_cell_logit(
     return beta
 
 
+@dataclass(frozen=True)
+class Interaction:
+    """One logged impression, read back with Python scalars."""
+
+    day: int
+    x1: int
+    x2: int
+    a: int
+    propensity: float
+    c: int
+    d: int | None = None
+    s: int | None = None
+    arm: str | None = None
+
+
+def interaction(log, i: int) -> Interaction:
+    """Row ``i`` of ``log``: ``d`` is None without a decision column, ``s``
+    None when unobserved (-1 or no sale column) and ``arm`` the arm's
+    letter ("" outside a split, None without an arm column)."""
+    s = None if log.s is None else int(log.s[i])
+    return Interaction(
+        day=int(log.day[i]),
+        x1=int(log.x1[i]),
+        x2=int(log.x2[i]),
+        a=int(log.a[i]),
+        propensity=float(log.propensity[i]),
+        c=int(log.c[i]),
+        d=None if log.d is None else int(log.d[i]),
+        s=None if s == -1 else s,
+        arm=None if log.arm is None else ARM_LABELS[int(log.arm[i])],
+    )
+
+
 def group_outcomes(log, included, action_factors, target="click") -> dict:
     """Group a log's outcomes by raw covariate/action value tuples.
 
@@ -82,7 +117,7 @@ def group_outcomes(log, included, action_factors, target="click") -> dict:
     """
     groups: dict = {}
     for i in range(len(log)):
-        rec = log[i]
+        rec = interaction(log, i)
         if target == "sale_given_click":
             if rec.c != 1:
                 continue

@@ -88,7 +88,7 @@ class TestClosedForm:
 
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
-            fit(Log.empty(), FeatureSpec(("x1",), ("a",), SMALL))
+            fit(cell_log(0, 0), FeatureSpec(("x1",), ("a",), SMALL))
 
     def test_cell_counts_recorded(self):
         model = fit(cell_log(3, 10, a=1), FeatureSpec(("x1",), ("a",), SMALL))
@@ -328,7 +328,7 @@ class TestCountRouteMatchesRowRoute:
     @pytest.mark.parametrize(
         "make_log,features,target",
         [
-            (Log.empty, ("x1",), TARGET_CLICK),
+            (lambda: cell_log(0, 0), ("x1",), TARGET_CLICK),
             (lambda: cell_log(3, 10), ("x1",), TARGET_SALE_GIVEN_CLICK),
             (lambda: Log(**{**cell_log(0, 10).__dict__, "s": np.full(10, -1, np.int8)}), ("x1",), TARGET_SALE_GIVEN_CLICK),
             (lambda: cell_log(3, 10, x1=2), ("x1",), TARGET_CLICK),

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confoundsim import Interaction, Log
+from confoundsim import Log, logs
 from confoundsim.logs import NDJSON_CHUNK_ROWS, VALIDATE_ROWS
 from conftest import ndjson_text
-from oracles import ndjson_reference
+from oracles import Interaction, interaction, ndjson_reference
 
 
 def small_log(days=(0, 0, 1, 1, 1, 2), with_sales=False, with_arms=False):
@@ -45,13 +45,16 @@ PROPENSITIES = st.one_of(
 @st.composite
 def random_logs(draw, with_decisions, with_sales, with_arms):
     """Day-ordered logs with the given optional columns; sale and arm
-    columns mix -1 (absent) with real values."""
+    columns mix -1 (absent) with real values, and the integer columns
+    span all of int32.  Each column draws its rows from a pool of at
+    most n values, so rows can repeat or differ in one column only."""
     n = draw(st.integers(0, 30))
 
     def column(values, dtype):
-        return np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+        pool = draw(st.lists(values, min_size=1, max_size=max(n, 1)))
+        return np.asarray(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=dtype)
 
-    ints = st.integers(0, 2**31 - 1)
+    ints = st.integers(-(2**31), 2**31 - 1)
     c = column(st.integers(0, 1), np.int8)
     s = None
     if with_sales:
@@ -73,6 +76,13 @@ class TestInvariants:
     def test_days_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
             small_log(days=(0, 2, 1))
+
+    def test_day_gaps_wider_than_int32_accepted(self):
+        # A gap of 2**32 - 1 between int32 days wraps if subtracted.
+        log = small_log(days=(-(2**31), -(2**31), 2**31 - 1))
+        assert list(log.days) == [-(2**31), 2**31 - 1]
+        with pytest.raises(ValueError, match="nondecreasing day"):
+            small_log(days=(2**31 - 1, -(2**31)))
 
     def test_propensity_in_unit_interval(self):
         log = small_log()
@@ -156,14 +166,14 @@ class TestSlicing:
 
     def test_day_slice_preserves_row_content(self):
         log = small_log()
-        rec = log.day_slice(2)[0]
-        assert rec == log[5]
+        rec = interaction(log.day_slice(2), 0)
+        assert rec == interaction(log, 5)
 
     def test_arm_slice(self):
         log = small_log(with_arms=True)
         a_side = log.arm_slice("A")
         assert len(a_side) == 2
-        assert all(log[i].arm == "A" for i in (2, 4))
+        assert all(interaction(log, i).arm == "A" for i in (2, 4))
         with pytest.raises(ValueError):
             small_log().arm_slice("A")
 
@@ -187,7 +197,7 @@ class TestSlicing:
 class TestScalarView:
     def test_interaction_fields(self):
         log = small_log(with_sales=True, with_arms=True)
-        rec = log[3]
+        rec = interaction(log, 3)
         assert isinstance(rec, Interaction)
         assert rec.day == 1
         assert rec.arm == "B"
@@ -196,11 +206,21 @@ class TestScalarView:
     def test_sale_hidden_when_unclicked(self):
         log = small_log(with_sales=True)
         for i in range(len(log)):
-            rec = log[i]
+            rec = interaction(log, i)
             if rec.c == 0:
                 assert rec.s is None
             else:
                 assert rec.s in (0, 1)
+
+
+def assert_same_lines(log):
+    """The log's export equals ``ndjson_reference`` line by line."""
+    got = ndjson_text(log).splitlines(keepends=True)
+    want = ndjson_reference(log).splitlines(keepends=True)
+    assert len(got) == len(want) == len(log)
+    # The first differing row, not a diff of two megabyte strings.
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert bad is None, (bad, got[bad], want[bad])
 
 
 class TestExport:
@@ -246,12 +266,84 @@ class TestExport:
             s=np.where(c == 1, rng.integers(-1, 2, n), -1).astype(np.int8),
             arm=rng.integers(-1, 2, n).astype(np.int8),
         )
-        got = ndjson_text(log).splitlines(keepends=True)
-        want = ndjson_reference(log).splitlines(keepends=True)
-        assert len(got) == len(want) == n
-        # The first differing row, not a diff of two megabyte strings.
-        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
-        assert bad is None, (bad, got[bad], want[bad])
+        assert_same_lines(log)
+
+    @pytest.mark.parametrize("n", [NDJSON_CHUNK_ROWS - 1, NDJSON_CHUNK_ROWS, NDJSON_CHUNK_ROWS + 1])
+    def test_ndjson_wide_negative_integers(self, n):
+        # Each integer column draws from values spread over int32 (a span
+        # just under 2**32, so each adds its offset from the minimum), so
+        # the columns' radix product passes 2**62 and the row key is
+        # re-coded inside a full chunk, while rows still repeat.
+        rng = np.random.default_rng(n)
+        wide = np.array([-(2**31) + 1, -(2**30) - 7, -1, 0, 2**30 + 3, 2**31 - 1], dtype=np.int32)
+        c = rng.integers(0, 2, n).astype(np.int8)
+        log = Log(
+            day=np.sort(rng.choice(wide, n)),
+            x1=rng.choice(wide, n),
+            x2=rng.choice(wide[:3], n),
+            a=rng.choice(wide, n),
+            propensity=rng.choice([0.25, 1.0], n),
+            c=c,
+            d=rng.choice(wide, n),
+            s=np.where(c == 1, rng.integers(-1, 2, n), -1).astype(np.int8),
+            arm=rng.integers(-1, 2, n).astype(np.int8),
+        )
+        assert_same_lines(log)
+
+    def test_ndjson_adjacent_propensities(self):
+        # Doubles one ulp apart, and 0.1 + 0.2 (0.30000000000000004) beside
+        # 0.3, on rows otherwise equal: each keeps its own repr.
+        values = [0.3, 0.1 + 0.2, np.nextafter(0.3, 0.0), np.nextafter(0.1 + 0.2, 1.0)]
+        values += [5e-324, 1e-323, np.nextafter(1.0, 0.0), 1.0]
+        propensity = np.tile(values, 3)
+        n = len(propensity)
+        zeros = np.zeros(n, dtype=np.int32)
+        log = Log(day=zeros, x1=zeros, x2=zeros, a=zeros, propensity=propensity, c=np.zeros(n, dtype=np.int8))
+        text = ndjson_text(log)
+        assert text == ndjson_reference(log)
+        assert len(set(text.splitlines())) == len(values)
+
+    def test_each_distinct_line_formatted_once_per_chunk(self, monkeypatch):
+        k, chunks = 7, 3
+        n = chunks * NDJSON_CHUNK_ROWS
+        rows = np.arange(n) % k
+        log = Log(
+            day=np.zeros(n, dtype=np.int32),
+            x1=(rows % 3).astype(np.int32),
+            x2=rows.astype(np.int32),
+            a=(rows * 5).astype(np.int32),
+            propensity=(rows + 1) / k,
+            c=(rows % 2).astype(np.int8),
+            d=(rows % 4).astype(np.int32),
+            s=np.where(rows % 2 == 1, rows % 3 - 1, -1).astype(np.int8),
+            arm=(rows % 3 - 1).astype(np.int8),
+        )
+        # Calls of each field's text, and rows handed to _fragments, which
+        # formats one row of each distinct line: chunks * k at most, never
+        # one per row.
+        calls = dict.fromkeys((key for key, _ in logs._NDJSON_FIELDS), 0)
+        formatted_rows = []
+
+        def counted(key, text):
+            def wrapper(v):
+                calls[key] += 1
+                return text(v)
+
+            return wrapper
+
+        def fragments(col, text):
+            formatted_rows.append(len(col))
+            return fragments_of(col, text)
+
+        fragments_of = logs._fragments
+        monkeypatch.setattr(logs, "_fragments", fragments)
+        monkeypatch.setattr(
+            logs, "_NDJSON_FIELDS", tuple((key, counted(key, text)) for key, text in logs._NDJSON_FIELDS)
+        )
+        assert ndjson_text(log) == ndjson_reference(log)
+        assert all(0 < count <= chunks * k for count in calls.values()), calls
+        assert len(formatted_rows) == chunks * len(calls)
+        assert all(size <= k for size in formatted_rows), formatted_rows
 
     def test_ndjson_rejects_unknown_arm_code(self):
         log = small_log(with_arms=True)
