@@ -39,8 +39,6 @@ __all__ = [
     "marginal_click_prob",
     "oracle_policy",
     "sample_context",
-    "true_click_prob",
-    "true_sale_prob",
 ]
 
 # Default rejection-sampling budget for make_default_ground_truth.
@@ -332,24 +330,6 @@ def sample_context(gt: GroundTruth, rng: np.random.Generator, size=None):
         x2 = rng.choice(gt.spec.k2, p=gt.p_x2_given_x1[x1])
         return int(x1), int(x2)
     return x1, inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], rng.random(size))
-
-
-def true_click_prob(gt: GroundTruth, x1, x2, a, d=None):
-    """Exact click probability of the mechanism (capped sigmoid of the logit)."""
-    if gt.spec.n_decisions is None:
-        if d is not None:
-            raise ValueError("environment has no decision axis")
-        return sigmoid(gt.click_logit[x1, x2, a])
-    if d is None:
-        raise ValueError("two-decision environment requires d")
-    return sigmoid(gt.click_logit[x1, x2, a, d])
-
-
-def true_sale_prob(gt: GroundTruth, x1, x2, a):
-    """Exact post-click sale probability."""
-    if gt.sale_logit is None:
-        raise ValueError("environment has no sale mechanism")
-    return sigmoid(gt.sale_logit[x1, x2, a])
 
 
 def _check_policy(gt: GroundTruth, policy: Policy) -> None:

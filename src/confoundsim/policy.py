@@ -23,7 +23,6 @@ __all__ = [
     "FactoredPolicyParams",
     "Policy",
     "epsilon_greedy",
-    "sample_action",
     "to_joint",
     "uniform_policy",
 ]
@@ -145,26 +144,6 @@ def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) ->
         raise ValueError("policy spec does not match the model's spec")
     best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)
     return greedy_policy(spec, best, model.feature_spec.included, f"epsilon_greedy({model.target})", epsilon)
-
-
-def sample_action(policy: Policy, x1: int, x2: int, rng: np.random.Generator, size=None):
-    """Draw actions and their propensities for one context.
-
-    Returns ``(a, propensity)`` or, for joint policies, ``(a, d, propensity)``.
-    With ``size`` given, the components are arrays.
-    """
-    flat = policy.cell_probs()[x1, x2]
-    cells = flat.shape[0]
-    idx = rng.choice(cells, size=size, p=flat)
-    prop = flat[idx]
-    if size is None:
-        idx, prop = int(idx), float(prop)
-    if policy.joint:
-        a, d = np.divmod(idx, policy.spec.n_decisions)
-        if size is None:
-            return int(a), int(d), prop
-        return a, d, prop
-    return idx, prop
 
 
 @dataclass

@@ -11,19 +11,29 @@ closed forms by enumeration (:func:`exact_objective`,
 :func:`exact_gradient`); the sampled estimator
 (:func:`estimate_gradient`) and the plain stochastic-ascent loop
 (:func:`reinforce_optimize`) are checked against them in tests.
+
+Both sampled routes run one batch routine.  Each batch draws three runs
+of ``batch_size`` uniforms, for contexts, actions and decisions in that
+order, and its results are bit-identical to the per-batch reference in
+``tests/oracles.py``: a draw counts the entries of its CDF row, less the
+last, that lie strictly below the uniform, which on a nondecreasing row is
+the capped count of :func:`~confoundsim.numerics.inverse_cdf`; the
+per-row score sums are one ``bincount`` each, which adds every bin's
+terms in sample order as ``np.add.at`` does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import inverse_cdf, softmax_rows
+from .numerics import softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -34,6 +44,15 @@ __all__ = [
 ]
 
 BASELINES = ("running-mean", "none")
+
+
+# bool is an int, so True would pass as a count or a rate of 1.
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,42 +73,73 @@ class SearchConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
+        if not _is_real(self.learning_rate) or not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 0:
+        if not _is_count(self.iterations) or self.iterations < 0:
             raise ValueError("iterations must be a nonnegative integer")
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
+        if not _is_count(self.batch_size) or self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        if not 0.0 <= self.baseline_decay < 1.0:
+        if not _is_real(self.baseline_decay) or not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_count(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
-# What a search reads besides the logits, fixed while it runs.  weight_cdf
-# runs over the flattened (x1, x2) cells; grid_* map cells to head rows.
-_SearchInputs = namedtuple("_SearchInputs", "table weights weight_cdf grid_a grid_d")
+# What a search reads besides the logits, fixed while it runs.  table and
+# grid_* (k1, k2)-shaped serve the exact objective; the batch routine reads
+# the flat reward table, the covariate CDF over flattened (x1, x2) cells
+# without its last entry, the flat cell -> head-row maps rows_*, and each
+# head's bin table bins_*[r, c] = r * n_cols + c.
+_SearchInputs = namedtuple(
+    "_SearchInputs", "table weights grid_a grid_d rewards cell_cdf rows_a rows_d bins_a bins_d"
+)
+
+
+def _bins(n_rows: int, n_cols: int) -> np.ndarray:
+    return np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
 
 
 def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth) -> _SearchInputs:
     if model.feature_spec.spec != params.spec or gt.spec != params.spec:
         raise ValueError("model, params, and ground truth must share one categorical spec")
     weights = gt.covariate_weights
+    table = prediction_table(model)
     grid_a, grid_d = params.context_grids()
-    return _SearchInputs(prediction_table(model), weights, np.cumsum(weights.ravel()), grid_a, grid_d)
+    return _SearchInputs(
+        table,
+        weights,
+        grid_a,
+        grid_d,
+        table.ravel(),
+        np.cumsum(weights.ravel())[:-1],
+        grid_a.ravel(),
+        grid_d.ravel(),
+        _bins(*params.action_logits.shape),
+        _bins(*params.decision_logits.shape),
+    )
 
 
-def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+def _row_sums(bins: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``out[r, c]`` sums ``values[..., c]`` over every position where ``rows`` is r.
 
-    Each ``bincount`` bin adds its values in input order from 0.0, so the
-    sums are bit-identical to ``np.add.at`` into zeros.
+    ``bins`` is the ``(n_rows, n_cols)`` table of flat bin indices.  Each
+    ``bincount`` bin adds its values in input order from 0.0, so the sums
+    are bit-identical to ``np.add.at`` into zeros.
     """
-    n_cols = values.shape[-1]
-    index = (rows.reshape(-1, 1) * n_cols + np.arange(n_cols)).ravel()
-    return np.bincount(index, weights=values.ravel(), minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+    index = bins.take(rows, axis=0).ravel()
+    return np.bincount(index, weights=values.ravel(), minlength=bins.size).reshape(bins.shape)
+
+
+def _draw_columns(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column drawn by each uniform ``u[i]`` from CDF row ``cdf[rows[i]]``.
+
+    Equal to ``inverse_cdf(cdf[rows], u)`` whenever each CDF row is
+    nondecreasing: the count of entries strictly below ``u`` among all but
+    the last is then the full count capped at the last column.
+    """
+    return (cdf[:, :-1].T.take(rows, axis=1) < u).sum(axis=0)
 
 
 def _objective(inputs: _SearchInputs, action_logits: np.ndarray, decision_logits: np.ndarray) -> float:
@@ -120,33 +170,41 @@ def exact_gradient(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
     value = np.einsum("ija,ija->ij", pi_a, mbar_a)
     cells_a = inputs.weights[:, :, None] * pi_a * (mbar_a - value[:, :, None])
     cells_d = inputs.weights[:, :, None] * pi_d * (mbar_d - value[:, :, None])
-    g_action = _row_sums(inputs.grid_a, cells_a, len(params.action_logits))
-    g_decision = _row_sums(inputs.grid_d, cells_d, len(params.decision_logits))
+    g_action = _row_sums(inputs.bins_a, inputs.grid_a, cells_a)
+    g_decision = _row_sums(inputs.bins_d, inputs.grid_d, cells_d)
     return g_action, g_decision
 
 
-def _score_sums(probs: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray) -> np.ndarray:
+def _score_sums(
+    probs: np.ndarray, bins: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray
+) -> np.ndarray:
     """Per-context-row sums of ``advantage * (onehot(chosen) - probs[row])``."""
-    score = -probs[rows]
+    score = (-probs).take(rows, axis=0)
     score[np.arange(len(rows)), chosen] += 1.0
-    return _row_sums(rows, advantage[:, None] * score, len(probs))
+    score *= advantage[:, None]
+    return _row_sums(bins, rows, score)
 
 
 def _batch_gradient(inputs, action_logits, decision_logits, rng, batch_size, baseline_value):
     # Uniforms are drawn for contexts, then actions, then decisions; the
-    # frozen two-decision seeds rest on this order.
-    n_cells = len(inputs.weight_cdf)
-    cells = np.minimum(np.searchsorted(inputs.weight_cdf, rng.random(batch_size), side="right"), n_cells - 1)
-    rows_a = inputs.grid_a.ravel()[cells]
-    rows_d = inputs.grid_d.ravel()[cells]
+    # frozen two-decision seeds rest on this order.  Every CDF below is
+    # nondecreasing (covariate weights are nonnegative, and softmax rows of
+    # finite logits are finite and nonnegative), so counting against all
+    # but its last entry is the draw capped at the last column.
+    cells = np.searchsorted(inputs.cell_cdf, rng.random(batch_size), side="right")
+    rows_a = inputs.rows_a.take(cells)
+    rows_d = inputs.rows_d.take(cells)
     pi_a = softmax_rows(action_logits)
     pi_d = softmax_rows(decision_logits)
-    a = inverse_cdf(np.cumsum(pi_a, axis=1)[rows_a], rng.random(batch_size))
-    d = inverse_cdf(np.cumsum(pi_d, axis=1)[rows_d], rng.random(batch_size))
-    rewards = inputs.table.reshape(n_cells, pi_a.shape[1], pi_d.shape[1])[cells, a, d]
+    a = _draw_columns(np.cumsum(pi_a, axis=1), rows_a, rng.random(batch_size))
+    d = _draw_columns(np.cumsum(pi_d, axis=1), rows_d, rng.random(batch_size))
+    n_a, n_d = pi_a.shape[1], pi_d.shape[1]
+    rewards = inputs.rewards.take((cells * n_a + a) * n_d + d)
     advantage = rewards - baseline_value
-    g_action = _score_sums(pi_a, rows_a, a, advantage) / batch_size
-    g_decision = _score_sums(pi_d, rows_d, d, advantage) / batch_size
+    g_action = _score_sums(pi_a, inputs.bins_a, rows_a, a, advantage)
+    g_decision = _score_sums(pi_d, inputs.bins_d, rows_d, d, advantage)
+    g_action /= batch_size
+    g_decision /= batch_size
     return g_action, g_decision, float(rewards.mean())
 
 
@@ -170,8 +228,8 @@ def estimate_gradient(
     inputs built for this one call, so equal ``rng`` states give equal bits.
     """
     inputs = _search_inputs(model, params, gt)
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    if not _is_count(batch_size) or batch_size < 1:
+        raise ValueError("batch_size must be a positive integer")
     return _batch_gradient(
         inputs, params.action_logits, params.decision_logits, rng, batch_size, baseline_value
     )
@@ -191,9 +249,12 @@ def reinforce_optimize(
     ``config.trace_path`` is set, appends one CSV row per iteration with
     the exact objective and the estimated gradient's norm.
 
-    The reward table, context grids and covariate CDF are built once; each
+    The flat reward table, the covariate CDF, the cell-to-row maps and
+    each head's bincount bin table are built once per search; each
     iteration runs :func:`estimate_gradient`'s batch routine on the bare
     logit matrices, which become a :class:`FactoredPolicyParams` at the end.
+    Equal settings give final logits and trace bytes equal to the
+    per-iteration reference loop in ``tests/oracles.py``.
     """
     inputs = _search_inputs(model, init, gt)
     action = init.action_logits.copy()

@@ -14,6 +14,8 @@ accumulates with ``bincount``, a row sampler that gathers a CDF per
 row and caps each draw instead of counting entries of per-day lookup
 tables, and a fit that encodes every training row and sums float
 outcomes instead of summing out the integer cell tallies of a log.
+It also keeps the point click and sale probabilities of an environment
+and a one-context ``rng.choice`` action draw, which only tests use.
 Tests freeze oracle outputs as literals wherever the value is a single
 number, so a regression in the oracle itself cannot mask a regression
 in the library.
@@ -343,6 +345,44 @@ def best_deterministic_factored(table, weights, grid_a, grid_d, rows_a, rows_d) 
                     )
             best = max(best, total)
     return best
+
+
+def true_click_prob(gt, x1, x2, a, d=None):
+    """Exact click probability of the mechanism (capped sigmoid of the logit)."""
+    if gt.spec.n_decisions is None:
+        if d is not None:
+            raise ValueError("environment has no decision axis")
+        return sigmoid(gt.click_logit[x1, x2, a])
+    if d is None:
+        raise ValueError("two-decision environment requires d")
+    return sigmoid(gt.click_logit[x1, x2, a, d])
+
+
+def true_sale_prob(gt, x1, x2, a):
+    """Exact post-click sale probability."""
+    if gt.sale_logit is None:
+        raise ValueError("environment has no sale mechanism")
+    return sigmoid(gt.sale_logit[x1, x2, a])
+
+
+def sample_action(policy, x1: int, x2: int, rng: np.random.Generator, size=None):
+    """Draw actions and their propensities for one context with ``rng.choice``.
+
+    Returns ``(a, propensity)`` or, for joint policies, ``(a, d, propensity)``.
+    With ``size`` given, the components are arrays.
+    """
+    flat = policy.cell_probs()[x1, x2]
+    cells = flat.shape[0]
+    idx = rng.choice(cells, size=size, p=flat)
+    prop = flat[idx]
+    if size is None:
+        idx, prop = int(idx), float(prop)
+    if policy.joint:
+        a, d = np.divmod(idx, policy.spec.n_decisions)
+        if size is None:
+            return int(a), int(d), prop
+        return a, d, prop
+    return idx, prop
 
 
 def ndjson_reference(log) -> str:

@@ -12,11 +12,10 @@ from confoundsim import (
     Policy,
     epsilon_greedy,
     make_default_ground_truth,
-    sample_action,
     to_joint,
     uniform_policy,
 )
-from oracles import enum_policy_ctr
+from oracles import enum_policy_ctr, sample_action
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 SMALL = CategoricalSpec(k1=2, k2=2, n_actions=2)

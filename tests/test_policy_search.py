@@ -1,26 +1,39 @@
 """Policy-search tests: exact objective/gradient oracles and the ascent loop."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confoundsim import (
+    TARGET_CLICK,
     CategoricalSpec,
     FactoredPolicyParams,
     FeatureSpec,
     FittedModel,
     GroundTruth,
+    ScenarioConfig,
     SearchConfig,
     estimate_gradient,
     exact_gradient,
     exact_objective,
+    fit_counts,
+    make_default_ground_truth,
     reinforce_optimize,
+    run_day,
+    tally,
+    uniform_policy,
 )
 from confoundsim.features import context_count
+from confoundsim.fixtures import TWO_DECISION_SEEDS, TWO_DECISION_SPEC
 from confoundsim.glm import prediction_table
-from confoundsim.numerics import softmax_rows
-from confoundsim.policy_search import BASELINES
+from confoundsim.numerics import inverse_cdf, softmax_rows
+from confoundsim.policy_search import BASELINES, _draw_columns
+from confoundsim.scenarios import default_two_decision_search
+from confoundsim.streams import DayStream
 from oracles import (
     best_deterministic_factored,
     central_difference,
@@ -101,6 +114,12 @@ class TestSearchConfig:
             ("batch_size", 2.5),
             ("batch_size", 8.0),
             ("seed", 1.5),
+            ("learning_rate", "a"),
+            ("learning_rate", True),
+            ("baseline_decay", "a"),
+            ("iterations", True),
+            ("batch_size", True),
+            ("seed", False),
         ],
     )
     def test_rejects_non_finite_rate_and_non_integer_counts(self, field, value):
@@ -110,6 +129,47 @@ class TestSearchConfig:
     def test_accepts_numpy_integer_counts(self):
         cfg = SearchConfig(iterations=np.int64(3), batch_size=np.int32(5))
         assert (cfg.iterations, cfg.batch_size) == (3, 5)
+
+
+@st.composite
+def cdf_draws(draw):
+    """Nondecreasing CDF rows (ties included), sample rows, and uniforms
+    that are fresh, exactly on an entry of their row, or at or above the
+    row's last entry."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(2, 11))
+    batch = draw(st.integers(1, 40))
+    entries = draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    cdf = np.sort(np.array(entries).reshape(n_rows, n_cols), axis=1)
+    rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=batch, max_size=batch)))
+    u = np.array([
+        draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(cdf[r].tolist()), st.floats(cdf[r, -1], 1.0)))
+        for r in rows
+    ])
+    return cdf, rows, u
+
+
+class TestDrawColumns:
+    """The search's action and decision draws count the entries of the
+    CDF rows below each uniform, without the last entry; on nondecreasing
+    rows that is ``inverse_cdf``'s capped count."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=cdf_draws())
+    @example(case=(np.array([[0.4, 0.9], [0.0, 0.0]]), np.array([0, 1, 0, 1]), np.array([0.4, 0.0, 0.95, 0.5])))
+    @example(case=(np.array([[0.1, 0.6, 0.9]]), np.array([0]), np.array([0.6])))
+    def test_matches_inverse_cdf(self, case):
+        cdf, rows, u = case
+        drawn = _draw_columns(cdf, rows, u)
+        expected = inverse_cdf(cdf[rows], u)
+        assert drawn.dtype == expected.dtype
+        assert drawn.tolist() == expected.tolist()
+
+    def test_ties_and_cap(self):
+        cdf = np.array([[0.25, 0.5, 1.0 - 2.0**-52], [0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-52]])
+        u = np.array([0.25, 0.2500001, 0.75, 1.0 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        rows = np.array([0, 0, 0, 0, 1, 1])
+        assert _draw_columns(cdf, rows, u).tolist() == [0, 1, 2, 2, 0, 2]
 
 
 class TestExactObjective:
@@ -217,6 +277,13 @@ class TestExactGradient:
         with pytest.raises(ValueError):
             estimate_gradient(
                 hand_model(), hand_params(), hand_truth(), np.random.default_rng(0), 0
+            )
+
+    @pytest.mark.parametrize("batch_size", [True, 2.5, np.float64(3.0)])
+    def test_estimator_rejects_non_integer_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            estimate_gradient(
+                hand_model(), hand_params(), hand_truth(), np.random.default_rng(0), batch_size
             )
 
 
@@ -352,3 +419,34 @@ class TestByteContract:
         r_a, r_d, r_mean = estimate_gradient_reference(model, params, gt, ref_rng, 1024, baseline_value)
         assert (g_a.tobytes(), g_d.tobytes(), mean) == (r_a.tobytes(), r_d.tobytes(), r_mean)
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_two_decision_scale_matches_reference(self, tmp_path, traced):
+        """The study's own shapes: ``TWO_DECISION_SPEC`` (a 10-action head),
+        the joint model a frozen seed fits on a small uniform day, the
+        independent fits as the start, and the study's step size."""
+        seed = TWO_DECISION_SEEDS[0]
+        spec = TWO_DECISION_SPEC
+        gt = make_default_ground_truth(spec, seed, ScenarioConfig().min_gap)
+        log, _ = run_day(gt, uniform_policy(spec), 20_000, 0, DayStream(seed, 0, 0))
+        counts = tally(log, spec)
+        model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
+        heads = [
+            fit_counts(FeatureSpec(context, (factor,), spec), counts, target=TARGET_CLICK).beta
+            for context, factor in ((("x1",), "a"), (("x2",), "d"))
+        ]
+        init = FactoredPolicyParams(
+            spec, ("x1",), ("x2",), heads[0].reshape(spec.k1, spec.n_actions),
+            heads[1].reshape(spec.k2, spec.n_decisions),
+        )
+        outcomes = []
+        for name, search in (("search", reinforce_optimize), ("reference", reinforce_reference)):
+            path = tmp_path / f"{name}.csv" if traced else None
+            config = replace(
+                default_two_decision_search(seed, None if path is None else str(path)),
+                iterations=100,
+                batch_size=1024,
+            )
+            outcomes.append(search_outcome(search, model, init, config, gt, path))
+        assert isinstance(outcomes[0][0], tuple)
+        assert outcomes[0] == outcomes[1]
