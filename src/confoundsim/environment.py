@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import CategoricalSpec
-from .numerics import PROB_ATOL, inverse_cdf, sigmoid
+from .numerics import PROB_ATOL, sigmoid
 from .policy import Policy, greedy_policy
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "make_separable_ground_truth",
     "marginal_click_prob",
     "oracle_policy",
-    "sample_context",
 ]
 
 # Default rejection-sampling budget for make_default_ground_truth.
@@ -317,19 +316,6 @@ def make_separable_ground_truth(
         f"no separable environment reached product separation >= {min_sep} "
         f"within {max_rounds} rounds (seed={seed})"
     )
-
-
-def sample_context(gt: GroundTruth, rng: np.random.Generator, size=None):
-    """Draw ``(x1, x2)`` from the covariate mechanism.
-
-    With ``size`` given (an int or a shape tuple), both are arrays of that
-    shape.
-    """
-    x1 = rng.choice(gt.spec.k1, size=size, p=gt.p_x1)
-    if size is None:
-        x2 = rng.choice(gt.spec.k2, p=gt.p_x2_given_x1[x1])
-        return int(x1), int(x2)
-    return x1, inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], rng.random(size))
 
 
 def _check_policy(gt: GroundTruth, policy: Policy) -> None:

@@ -1,4 +1,4 @@
-"""Frozen fixture seed lists and the scans that produced them.
+"""Frozen fixture seed lists and the margins of the scans that produced them.
 
 The headline experiments are deterministic given a seed, so fixture
 quality is a property of the sampled environment, not of run-to-run
@@ -13,15 +13,15 @@ luck.  Two things vary across environments:
   errors flip argmaxes and the post-dip curve does not return to
   baseline within the documented tolerances.
 
-The seed lists below were produced by :func:`scan_day_loop_seeds`,
-:func:`scan_click_sale_seeds`, and :func:`scan_two_decision_seeds`,
-scanning candidate seeds upward from zero with the predicates encoded in
-those functions (dip at least 0.0195, return to baseline within 8e-4,
-shared-log arm strictly below the separate-log arm by at least 0.005,
-and so on; the margins tighten the documented tolerances so a pass does
-not sit on a knife edge).  Rerun the scans to regenerate the lists, e.g.::
+The seed lists below were produced by the scans of
+``tools/scan_seeds.py``, which try candidate seeds upward from zero with
+the predicates encoded there (dip at least 0.0195, return to baseline
+within 8e-4, shared-log arm strictly below the separate-log arm by at
+least 0.005, and so on; the margins below tighten the documented
+tolerances so a pass does not sit on a knife edge).  Rerun a scan to
+regenerate a list, e.g.::
 
-    python3 -c "import confoundsim.fixtures as f; print(f.scan_day_loop_seeds(50))"
+    PYTHONPATH=src python3 tools/scan_seeds.py day-loop --count 50
 
 All scans run the real pipelines at full scale; expect a couple of
 seconds per candidate seed.
@@ -29,15 +29,7 @@ seconds per candidate seed.
 
 from __future__ import annotations
 
-from .environment import make_default_ground_truth, make_separable_ground_truth
 from .features import CategoricalSpec
-from .scenarios import (
-    ScenarioConfig,
-    scenario_ab_test,
-    scenario_click_sale,
-    scenario_feature_engineering,
-    scenario_two_decision,
-)
 
 __all__ = [
     "ADJUSTMENT_SEEDS",
@@ -47,19 +39,16 @@ __all__ = [
     "SEPARABLE_SEEDS",
     "TWO_DECISION_SEEDS",
     "TWO_DECISION_SPEC",
-    "day_loop_seed_ok",
-    "scan_click_sale_seeds",
-    "scan_day_loop_seeds",
-    "scan_two_decision_seeds",
 ]
 
 DEFAULT_SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 TWO_DECISION_SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10, n_decisions=2)
 
-# Stability margins used by the scans.  The documented tolerances are a
-# dip of at least min_gap*(1-epsilon) = 0.019, recovery within 1e-3, and
-# strict shared-below-separate; the scan demands a little extra so small
-# cross-platform float differences cannot flip a frozen seed.
+# Stability margins used by the scans of tools/scan_seeds.py.  The
+# documented tolerances are a dip of at least min_gap*(1-epsilon) = 0.019,
+# recovery within 1e-3, and strict shared-below-separate; the scan demands
+# a little extra so small cross-platform float differences cannot flip a
+# frozen seed.
 DIP_MARGIN = 0.0195
 RECOVERY_MARGIN = 8e-4
 ENTRENCH_MARGIN = 5e-3
@@ -96,113 +85,3 @@ TWO_DECISION_SEEDS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 # error (about 0.008 at best on a 400k day), not a fixed bar.
 ADJUSTMENT_SEEDS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
-
-def day_loop_seed_ok(seed: int, samples_per_day: int = 400_000) -> bool:
-    """The joint predicate frozen into :data:`FIXTURE_SEEDS`.
-
-    Runs the feature-removal loop (with the x2-aware day 2 and with an
-    x1-only day 2) plus three A/B designs at full scale and checks, with
-    the margins above:
-
-    * day 2 at least as good as day 1, and the day-3 dip at least
-      ``DIP_MARGIN`` (just above the documented ``min_gap*(1-epsilon)``);
-    * days 4 and 5 back within ``RECOVERY_MARGIN`` of day 1;
-    * with an x1-only day-2 model, days 2-5 mutually level within
-      ``RECOVERY_MARGIN`` (no dip at all when no deployed policy ever
-      looks at x2);
-    * shared-log arm A at least ``ENTRENCH_MARGIN`` below separate-log
-      arm A on every post-split day;
-    * separate-log arm A back at the day-1 rate one day after the split;
-    * with arm B forced to x1-only visibility, shared-log arm A never
-      drops a dip-sized amount below day 1 (entrenchment needs an
-      x2-aware arm in the mix; only refit noise remains).
-    """
-    cfg = ScenarioConfig(seed=seed, samples_per_day=samples_per_day)
-    fe = scenario_feature_engineering(cfg)
-    rate = {r.day: r.expected_ctr for r in fe.reports}
-    if not (
-        rate[2] >= rate[1]
-        and rate[1] - rate[3] >= DIP_MARGIN
-        and abs(rate[4] - rate[1]) <= RECOVERY_MARGIN
-        and abs(rate[5] - rate[1]) <= RECOVERY_MARGIN
-    ):
-        return False
-    blind = scenario_feature_engineering(cfg, day2_features=("x1",))
-    post = [r.expected_ctr for r in blind.reports if r.day >= 2]
-    if max(post) - min(post) > RECOVERY_MARGIN:
-        return False
-    shared = scenario_ab_test(cfg, shared_log=True)
-    separate = scenario_ab_test(cfg, shared_log=False)
-    shared_a = [r.expected_ctr for r in shared.arm_reports["A"]]
-    separate_a = [r.expected_ctr for r in separate.arm_reports["A"]]
-    day1 = separate.common_reports[1].expected_ctr
-    if not all(
-        separate_a[i] - shared_a[i] >= ENTRENCH_MARGIN for i in range(1, len(shared_a))
-    ):
-        return False
-    if abs(separate_a[1] - day1) > RECOVERY_MARGIN:
-        return False
-    blind_ab = scenario_ab_test(cfg, shared_log=True, arm_b_features=("x1",))
-    blind_a = [r.expected_ctr for r in blind_ab.arm_reports["A"]]
-    return all(day1 - r <= BLIND_AB_MARGIN for r in blind_a)
-
-
-def scan_day_loop_seeds(count: int, start: int = 0, samples_per_day: int = 400_000) -> tuple:
-    """First ``count`` seeds at or above ``start`` passing :func:`day_loop_seed_ok`."""
-    found = []
-    seed = start
-    while len(found) < count:
-        if day_loop_seed_ok(seed, samples_per_day):
-            found.append(seed)
-        seed += 1
-    return tuple(found)
-
-
-def click_sale_seed_ok(seed: int, samples_per_day: int = 400_000) -> bool:
-    """Mismatched product policy strictly below the full one, with margin."""
-    cfg = ScenarioConfig(seed=seed, samples_per_day=samples_per_day)
-    res = scenario_click_sale(cfg)
-    return res.value("full") - res.value("mismatched") >= CLICK_SALE_MARGIN
-
-
-def separable_seed_ok(seed: int, samples_per_day: int = 400_000) -> bool:
-    """Mismatched equals full when the true mechanisms are separable."""
-    cfg = ScenarioConfig(seed=seed, samples_per_day=samples_per_day)
-    gt = make_separable_ground_truth(cfg.spec, seed, min_sep=0.02, with_sales=True)
-    res = scenario_click_sale(cfg, gt=gt)
-    return abs(res.value("full") - res.value("mismatched")) <= 1e-9
-
-
-def scan_click_sale_seeds(count: int, start: int = 0, separable: bool = False) -> tuple:
-    predicate = separable_seed_ok if separable else click_sale_seed_ok
-    found = []
-    seed = start
-    while len(found) < count:
-        if predicate(seed):
-            found.append(seed)
-        seed += 1
-    return tuple(found)
-
-
-def two_decision_seed_ok(seed: int, samples_per_day: int = 400_000) -> bool:
-    """Joint-model policy search beats the independent fit, with margin.
-
-    Compares exact model objectives: the optimised factored policy must
-    sit at least :data:`TWO_DECISION_MARGIN` above the independent-fit
-    product-of-argmaxes policy (the joint-argmax bound holds pointwise,
-    so only the lower comparison needs scanning).
-    """
-    cfg = ScenarioConfig(spec=TWO_DECISION_SPEC, seed=seed, samples_per_day=samples_per_day)
-    res = scenario_two_decision(cfg)
-    gain = res.model_value("reinforce_factored") - res.model_value("independent_factored")
-    return gain >= TWO_DECISION_MARGIN
-
-
-def scan_two_decision_seeds(count: int, start: int = 0) -> tuple:
-    found = []
-    seed = start
-    while len(found) < count:
-        if two_decision_seed_ok(seed):
-            found.append(seed)
-        seed += 1
-    return tuple(found)

@@ -1,4 +1,4 @@
-"""Shared numeric helpers: capped sigmoid, softmax, inverse-CDF draws, tolerances."""
+"""Shared numeric helpers: capped sigmoid, softmax, tolerances."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "LOGIT_CAP",
     "PROB_ATOL",
-    "inverse_cdf",
     "sigmoid",
     "softmax_rows",
 ]
@@ -43,14 +42,3 @@ def softmax_rows(logits):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def inverse_cdf(cdf_rows, u):
-    """Column drawn by each uniform ``u[...]`` from its CDF row ``cdf_rows[..., :]``.
-
-    ``cdf_rows`` carries one CDF along its last axis per entry of ``u``.
-    The draw is the number of CDF entries strictly below the uniform, capped
-    at the last column so rounding in the final entry never runs off the
-    row.
-    """
-    return np.minimum((cdf_rows < u[..., None]).sum(axis=-1), cdf_rows.shape[-1] - 1)

@@ -17,7 +17,7 @@ of ``batch_size`` uniforms, for contexts, actions and decisions in that
 order, and its results are bit-identical to the per-batch reference in
 ``tests/oracles.py``: a draw counts the entries of its CDF row, less the
 last, that lie strictly below the uniform, which on a nondecreasing row is
-the capped count of :func:`~confoundsim.numerics.inverse_cdf`; the
+the capped count of ``inverse_cdf`` in ``tests/oracles.py``; the
 per-row score sums are one ``bincount`` each, which adds every bin's
 terms in sample order as ``np.add.at`` does.
 """
@@ -135,9 +135,10 @@ def _row_sums(bins: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndar
 def _draw_columns(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column drawn by each uniform ``u[i]`` from CDF row ``cdf[rows[i]]``.
 
-    Equal to ``inverse_cdf(cdf[rows], u)`` whenever each CDF row is
-    nondecreasing: the count of entries strictly below ``u`` among all but
-    the last is then the full count capped at the last column.
+    Equal to ``inverse_cdf(cdf[rows], u)`` of ``tests/oracles.py``
+    whenever each CDF row is nondecreasing: the count of entries strictly
+    below ``u`` among all but the last is then the full count capped at
+    the last column.
     """
     return (cdf[:, :-1].T.take(rows, axis=1) < u).sum(axis=0)
 

@@ -14,8 +14,10 @@ accumulates with ``bincount``, a row sampler that gathers a CDF per
 row and caps each draw instead of counting entries of per-day lookup
 tables, and a fit that encodes every training row and sums float
 outcomes instead of summing out the integer cell tallies of a log.
-It also keeps the point click and sale probabilities of an environment
-and a one-context ``rng.choice`` action draw, which only tests use.
+It also keeps the point click and sale probabilities of an environment,
+a one-context ``rng.choice`` action draw, and the covariate draw
+``sample_context`` with its capped inverse-CDF count, which only tests
+use.
 Tests freeze oracle outputs as literals wherever the value is a single
 number, so a regression in the oracle itself cannot mask a regression
 in the library.
@@ -414,8 +416,28 @@ def ndjson_reference(log) -> str:
     return "".join(lines)
 
 
-def _reference_inverse_cdf(cdf_rows, u):
-    return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+def inverse_cdf(cdf_rows, u):
+    """Column drawn by each uniform ``u[...]`` from its CDF row ``cdf_rows[..., :]``.
+
+    ``cdf_rows`` carries one CDF along its last axis per entry of ``u``.
+    The draw is the number of CDF entries strictly below the uniform, capped
+    at the last column so rounding in the final entry never runs off the
+    row.
+    """
+    return np.minimum((cdf_rows < u[..., None]).sum(axis=-1), cdf_rows.shape[-1] - 1)
+
+
+def sample_context(gt, rng: np.random.Generator, size=None):
+    """Draw ``(x1, x2)`` from the covariate mechanism.
+
+    With ``size`` given (an int or a shape tuple), both are arrays of that
+    shape.
+    """
+    x1 = rng.choice(gt.spec.k1, size=size, p=gt.p_x1)
+    if size is None:
+        x2 = rng.choice(gt.spec.k2, p=gt.p_x2_given_x1[x1])
+        return int(x1), int(x2)
+    return x1, inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], rng.random(size))
 
 
 def simulate_chunk_reference(gt, policy, u: np.ndarray):
@@ -429,9 +451,9 @@ def simulate_chunk_reference(gt, policy, u: np.ndarray):
     spec = gt.spec
     cdf1 = np.cumsum(gt.p_x1)
     x1 = np.minimum(np.searchsorted(cdf1, u[:, 0], side="right"), spec.k1 - 1)
-    x2 = _reference_inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], u[:, 1])
+    x2 = inverse_cdf(np.cumsum(gt.p_x2_given_x1, axis=1)[x1], u[:, 1])
     cell_probs = policy.cell_probs()[x1, x2]
-    cell = _reference_inverse_cdf(np.cumsum(cell_probs, axis=1), u[:, 2])
+    cell = inverse_cdf(np.cumsum(cell_probs, axis=1), u[:, 2])
     propensity = cell_probs[np.arange(len(cell)), cell]
     if spec.n_decisions is None:
         a, d = cell, None

@@ -14,10 +14,16 @@ from confoundsim import (
     make_default_ground_truth,
     make_separable_ground_truth,
     oracle_policy,
-    sample_context,
     uniform_policy,
 )
-from oracles import enum_click_sale_rate, enum_policy_ctr, sample_action, true_click_prob, true_sale_prob
+from oracles import (
+    enum_click_sale_rate,
+    enum_policy_ctr,
+    sample_action,
+    sample_context,
+    true_click_prob,
+    true_sale_prob,
+)
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 SMALL = CategoricalSpec(k1=2, k2=2, n_actions=2)

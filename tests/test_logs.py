@@ -223,6 +223,24 @@ def assert_same_lines(log):
     assert bad is None, (bad, got[bad], want[bad])
 
 
+def chunk_columns(log, lo):
+    """The present columns of the export chunk starting at row ``lo``."""
+    cols = (getattr(log, key) for key, _ in logs._NDJSON_FIELDS)
+    return [col[lo : lo + NDJSON_CHUNK_ROWS] for col in cols if col is not None]
+
+
+def count_unique(monkeypatch):
+    """A one-item list counting the ``np.unique`` calls from here on."""
+    calls, unique = [0], np.unique
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
 class TestExport:
     def test_ndjson_deterministic(self):
         log = small_log(with_sales=True, with_arms=True)
@@ -271,9 +289,10 @@ class TestExport:
     @pytest.mark.parametrize("n", [NDJSON_CHUNK_ROWS - 1, NDJSON_CHUNK_ROWS, NDJSON_CHUNK_ROWS + 1])
     def test_ndjson_wide_negative_integers(self, n):
         # Each integer column draws from values spread over int32 (a span
-        # just under 2**32, so each adds its offset from the minimum), so
-        # the columns' radix product passes 2**62 and the row key is
-        # re-coded inside a full chunk, while rows still repeat.
+        # just under 2**32, so the first adds its offset from the minimum),
+        # so the columns' radix product would pass 2**62 and the later ones
+        # join the row codes by their np.unique codes inside a full chunk,
+        # while rows still repeat.
         rng = np.random.default_rng(n)
         wide = np.array([-(2**31) + 1, -(2**30) - 7, -1, 0, 2**30 + 3, 2**31 - 1], dtype=np.int32)
         c = rng.integers(0, 2, n).astype(np.int8)
@@ -302,6 +321,89 @@ class TestExport:
         text = ndjson_text(log)
         assert text == ndjson_reference(log)
         assert len(set(text.splitlines())) == len(values)
+
+    def test_ndjson_all_columns_constant(self, monkeypatch):
+        # Every column holds one value, so every column is skipped and each
+        # chunk, the short last one too, is one distinct row.
+        n = NDJSON_CHUNK_ROWS + 5
+        ones = np.ones(n, dtype=np.int32)
+        log = Log(
+            day=ones * 3, x1=ones, x2=ones * -2, a=ones * 9, propensity=np.full(n, 0.05 / 9),
+            c=np.ones(n, dtype=np.int8), d=ones, s=np.ones(n, dtype=np.int8), arm=np.zeros(n, dtype=np.int8),
+        )
+        assert_same_lines(log)
+        unique = count_unique(monkeypatch)
+        for lo in (0, NDJSON_CHUNK_ROWS):
+            rows, inverse = logs._distinct_rows(chunk_columns(log, lo))
+            assert len(rows) == 1 and not inverse.any()
+        assert unique == [0]
+
+    @pytest.mark.parametrize("excess", [(0, 1), (1, 0)])
+    def test_ndjson_key_span_at_and_above_table_bound(self, excess, monkeypatch):
+        # x1 alone varies, so the key spans max(x1) + 1 values: exactly the
+        # presence-table bound, or one more, which goes to np.unique; the
+        # full first chunk and the short second one each take one route.
+        sizes = (NDJSON_CHUNK_ROWS, 100)
+        rng = np.random.default_rng(sum(excess))
+        x1 = []
+        for size, extra in zip(sizes, excess):
+            span = logs._TABLE_SPAN_PER_ROW * size + extra
+            col = rng.integers(0, span, size)
+            col[[0, -1]] = 0, span - 1
+            x1.append(col)
+        x1 = np.concatenate(x1).astype(np.int32)
+        n = len(x1)
+        zeros = np.zeros(n, dtype=np.int32)
+        log = Log(day=zeros, x1=x1, x2=zeros, a=zeros, propensity=np.full(n, 0.25), c=np.zeros(n, dtype=np.int8))
+        assert_same_lines(log)
+        unique = count_unique(monkeypatch)
+        for lo, extra in zip((0, NDJSON_CHUNK_ROWS), excess):
+            before = unique[0]
+            rows, inverse = logs._distinct_rows(chunk_columns(log, lo))
+            assert unique[0] - before == extra
+            chunk = x1[lo : lo + NDJSON_CHUNK_ROWS]
+            assert np.array_equal(chunk[rows][inverse], chunk)
+            assert len(rows) == len(np.unique(chunk))
+
+    def test_ndjson_full_chunk_of_distinct_propensities(self, monkeypatch):
+        # Every propensity of the chunk differs, so the float column is
+        # re-coded by np.unique and each row is its own line.
+        n = NDJSON_CHUNK_ROWS
+        rng = np.random.default_rng(3)
+        propensity = rng.permutation(np.linspace(1e-6, 1.0, n))
+        c = rng.integers(0, 2, n).astype(np.int8)
+        log = Log(
+            day=np.sort(rng.integers(0, 3, n)).astype(np.int32),
+            x1=rng.integers(0, 5, n).astype(np.int32),
+            x2=rng.integers(0, 5, n).astype(np.int32),
+            a=rng.integers(0, 10, n).astype(np.int32),
+            propensity=propensity,
+            c=c,
+            s=np.where(c == 1, rng.integers(-1, 2, n), -1).astype(np.int8),
+        )
+        assert_same_lines(log)
+        unique = count_unique(monkeypatch)
+        rows, inverse = logs._distinct_rows(chunk_columns(log, 0))
+        assert unique[0] >= 1
+        assert len(rows) == n and np.array_equal(rows[inverse], np.arange(n))
+
+    def test_propensity_set_by_other_columns_needs_no_sort(self, monkeypatch):
+        # As in a simulated log, the propensity is a function of the integer
+        # columns, so it adds no distinct rows and no np.unique call.
+        n = NDJSON_CHUNK_ROWS
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 10, n).astype(np.int32)
+        x2 = rng.integers(0, 5, n).astype(np.int32)
+        table = np.linspace(0.05, 0.95, 50)
+        log = Log(
+            day=np.zeros(n, dtype=np.int32), x1=np.zeros(n, dtype=np.int32), x2=x2, a=a,
+            propensity=table[a * 5 + x2], c=np.zeros(n, dtype=np.int8),
+        )
+        assert_same_lines(log)
+        unique = count_unique(monkeypatch)
+        rows, inverse = logs._distinct_rows(chunk_columns(log, 0))
+        assert unique == [0]
+        assert len(rows) == len(np.unique(a * 5 + x2))
 
     def test_each_distinct_line_formatted_once_per_chunk(self, monkeypatch):
         k, chunks = 7, 3

@@ -30,7 +30,7 @@ from confoundsim import (
 from confoundsim.features import context_count
 from confoundsim.fixtures import TWO_DECISION_SEEDS, TWO_DECISION_SPEC
 from confoundsim.glm import prediction_table
-from confoundsim.numerics import inverse_cdf, softmax_rows
+from confoundsim.numerics import softmax_rows
 from confoundsim.policy_search import BASELINES, _draw_columns
 from confoundsim.scenarios import default_two_decision_search
 from confoundsim.streams import DayStream
@@ -39,6 +39,7 @@ from oracles import (
     central_difference,
     enum_factored_objective,
     estimate_gradient_reference,
+    inverse_cdf,
     reinforce_reference,
 )
 

@@ -38,11 +38,10 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
-from confoundsim.numerics import inverse_cdf
 from confoundsim.policy import greedy_policy
 from confoundsim.scenarios import LOG_COLUMNS, _day_tables, _empty_columns, _simulate_chunk
 from conftest import all_reports, ndjson_text
-from oracles import simulate_chunk_reference
+from oracles import inverse_cdf, simulate_chunk_reference
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 DESK = ScenarioConfig(samples_per_day=20_000)
@@ -122,12 +121,12 @@ class TestRunDay:
         assert report.regret >= -1e-12
 
     def test_inverse_cdf_ties_and_cap(self):
-        # inverse_cdf (the x2 draw of sample_context) counts the CDF
-        # entries strictly below u, so a u on an entry stays in that
-        # column, and a last entry that rounds short of 1.0 never sends a
-        # draw off the row.  The row sampler's own tie rules are pinned in
-        # TestSamplerByteContract, the REINFORCE search's in
-        # test_policy_search.py's TestDrawColumns.
+        # oracles.inverse_cdf (the x2 draw of oracles.sample_context and of
+        # simulate_chunk_reference) counts the CDF entries strictly below
+        # u, so a u on an entry stays in that column, and a last entry that
+        # rounds short of 1.0 never sends a draw off the row.  The row
+        # sampler's own tie rules are pinned in TestSamplerByteContract,
+        # the REINFORCE search's in test_policy_search.py's TestDrawColumns.
         u = np.array([0.25, 0.2500001, 0.5, 0.75, 1.0 - 2.0**-53])
         cdf = np.tile([0.25, 0.5, 1.0 - 2.0**-52], (len(u), 1))
         assert inverse_cdf(cdf, u).tolist() == [0, 1, 1, 2, 2]
