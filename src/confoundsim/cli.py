@@ -14,6 +14,7 @@ is ``--out``, else the ``CONFOUNDSIM_OUT`` environment variable, else
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -351,7 +352,9 @@ def _add_common_flags(sub: argparse.ArgumentParser, days_default: int = 6):
     sub.add_argument("--dump-log", action="store_true", help="also write the interaction log as NDJSON")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="confoundsim",
         description="Deterministic simulator of confounding in logged-feedback recommender loops.",

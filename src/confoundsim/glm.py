@@ -168,13 +168,18 @@ def tally(log: Log, spec: CategoricalSpec) -> Tally:
         idx += log.s == 1
     shape = tuple(card for _, _, card in factors)
     bins = np.bincount(idx, minlength=3 * math.prod(shape)).reshape(shape + (3,))
+    # Rows are day-ordered, so the first and last rows bound the days.
+    return _bins_tally(bins, log.s is not None, (int(log.day[0]), int(log.day[-1])) if n else None)
+
+
+def _bins_tally(bins: np.ndarray, with_sales: bool, day_range: tuple | None) -> Tally:
+    """The tally of per-cell outcome counts ``bins[..., outcome]`` laid out as in :func:`tally`."""
     clicks = bins[..., 1] + bins[..., 2]
     return Tally(
         impressions=bins[..., 0] + clicks,
         clicks=clicks,
-        sales=None if log.s is None else bins[..., 2],
-        # Rows are day-ordered, so the first and last rows bound the days.
-        day_range=(int(log.day[0]), int(log.day[-1])) if n else None,
+        sales=bins[..., 2] if with_sales else None,
+        day_range=day_range,
     )
 
 

@@ -7,8 +7,8 @@ joint action is the fitted model's predicted click probability, so the
 objective is an expectation over contexts and both heads.
 
 Because everything is categorical the objective and its gradient have
-closed forms by enumeration (:func:`exact_objective`,
-:func:`exact_gradient`); the sampled estimator
+closed forms by enumeration (:func:`exact_objective`, and the gradient
+oracle of ``tests/oracles.py``); the sampled estimator
 (:func:`estimate_gradient`) and the plain stochastic-ascent loop
 (:func:`reinforce_optimize`) are checked against them in tests.
 
@@ -38,7 +38,6 @@ from .numerics import softmax_rows
 __all__ = [
     "SearchConfig",
     "estimate_gradient",
-    "exact_gradient",
     "exact_objective",
     "reinforce_optimize",
 ]
@@ -154,28 +153,6 @@ def exact_objective(model: FittedModel, params: FactoredPolicyParams, gt: Ground
     return _objective(_search_inputs(model, params, gt), params.action_logits, params.decision_logits)
 
 
-def exact_gradient(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth):
-    """Analytic gradient of :func:`exact_objective` in both heads' logits.
-
-    For a softmax head the derivative in logit (c, a) is
-    ``sum over contexts x in c of w(x) pi(a | c) (mbar(x, a) - V(x))``
-    where ``mbar`` marginalises the reward table over the other head and
-    ``V`` is the context value.  Returns ``(g_action, g_decision)`` with
-    the same shapes as the logit matrices.
-    """
-    inputs = _search_inputs(model, params, gt)
-    pi_a = softmax_rows(params.action_logits)[inputs.grid_a]
-    pi_d = softmax_rows(params.decision_logits)[inputs.grid_d]
-    mbar_a = np.einsum("ijd,ijad->ija", pi_d, inputs.table)
-    mbar_d = np.einsum("ija,ijad->ijd", pi_a, inputs.table)
-    value = np.einsum("ija,ija->ij", pi_a, mbar_a)
-    cells_a = inputs.weights[:, :, None] * pi_a * (mbar_a - value[:, :, None])
-    cells_d = inputs.weights[:, :, None] * pi_d * (mbar_d - value[:, :, None])
-    g_action = _row_sums(inputs.bins_a, inputs.grid_a, cells_a)
-    g_decision = _row_sums(inputs.bins_d, inputs.grid_d, cells_d)
-    return g_action, g_decision
-
-
 def _score_sums(
     probs: np.ndarray, bins: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray
 ) -> np.ndarray:
@@ -217,7 +194,7 @@ def estimate_gradient(
     batch_size: int,
     baseline_value: float = 0.0,
 ):
-    """One-batch score-function estimate of :func:`exact_gradient`.
+    """One-batch score-function estimate of the gradient of :func:`exact_objective`.
 
     Contexts are drawn from the true covariate distribution, actions from
     the two heads; each sample contributes

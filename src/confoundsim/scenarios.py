@@ -38,10 +38,10 @@ from .glm import (
     TARGET_SALE_GIVEN_CLICK,
     FittedModel,
     Tally,
+    _bins_tally,
     fit_counts,
     prediction_table,
     sum_tallies,
-    tally,
 )
 from .logs import ARM_CODES, Log
 from .numerics import sigmoid
@@ -198,20 +198,60 @@ class TwoDecisionResult:
         return next(e.model_value for e in self.entries if e.variant == variant)
 
 
+# Buckets of a guide table.  A power of two, so ``u * GUIDE_BUCKETS`` and
+# every bucket edge ``b / GUIDE_BUCKETS`` are exact in float64.
+GUIDE_BUCKETS = 256
+
+
+def _guide(cdf: np.ndarray) -> tuple:
+    """Guide table (Chen & Asau, 1974) over the nondecreasing rows of ``cdf``.
+
+    A uniform in bucket ``b = floor(u * GUIDE_BUCKETS)`` passes every entry
+    below the bucket and none at or above its upper edge, so a draw compares
+    only the bucket's distinct entry values, its levels.  Returns arrays
+    ``(counts, values)``, one row per level and a last row, one column per
+    slot ``row * GUIDE_BUCKETS + b``: ``values`` holds the levels, ascending,
+    then the upper edge; ``counts`` the row entries below each value, which
+    is the draw of a uniform that passes the levels before it."""
+    rows = len(cdf)
+    bucket = np.floor(cdf * GUIDE_BUCKETS)
+    new_value = np.diff(cdf, axis=1, prepend=-1.0) != 0
+    # An entry at or above 1.0 lies in no bucket, and no uniform passes it.
+    r, j = np.nonzero(new_value & (bucket < GUIDE_BUCKETS))
+    slot = r * GUIDE_BUCKETS + bucket[r, j].astype(np.intp)
+    level = np.arange(len(slot)) - np.searchsorted(slot, slot)
+    levels = int(level.max()) + 1 if len(slot) else 0
+    values = np.tile(np.arange(1.0, GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, (levels + 1, rows))
+    values[level, slot] = cdf[r, j]
+    # Below a level lie the entries before its first; below an edge, those of its bucket or earlier ones.
+    keys = np.arange(rows)[:, None] * (GUIDE_BUCKETS + 1) + np.minimum(bucket, GUIDE_BUCKETS).astype(np.intp)
+    per_bucket = np.bincount(keys.ravel(), minlength=rows * (GUIDE_BUCKETS + 1)).reshape(rows, -1)[:, :-1]
+    counts = np.tile(np.cumsum(per_bucket, axis=1, dtype=np.int32).ravel(), (levels + 1, 1))
+    counts[level, slot] = j
+    return counts, values
+
+
+def _draw(counts, values, compare: np.ufunc, u: np.ndarray, rows, out: np.ndarray, idx, fbuf, bbuf) -> None:
+    """Write into int32 ``out`` how many entries ``e`` of its row (``rows`` holds row * GUIDE_BUCKETS)
+    each uniform passes by ``compare(e, u)``; ``idx``, ``fbuf``, ``bbuf`` are intp, float64, bool scratch."""
+    np.multiply(u, GUIDE_BUCKETS, out=idx, casting="unsafe")
+    idx += rows
+    # Levels ascend, so a uniform passes a prefix of them; each pass moves to the next level's row.
+    for _ in range(len(values) - 1):
+        compare(values.take(idx, out=fbuf), u, out=bbuf)
+        np.add(idx, values.shape[1], out=idx, where=bbuf)
+    counts.take(idx, out=out)
+
+
 class _DayTables(NamedTuple):
-    """Lookup tables of the row sampler, built once per :func:`run_day` call.
+    """Lookup tables of the row sampler, built once per :func:`run_day` call:
+    guide tables of the x1 CDF, the x2 CDF of each x1 and the action cell CDF
+    of each context ``x1 * k2 + x2``, each without its last entry so a draw is
+    capped; ``propensity``, ``p_click`` and ``p_sale``, flat over ``(context, cell)``."""
 
-    Each CDF drops its last entry.  Counting the kept entries a uniform
-    passes is the capped inverse-CDF draw, because a cumulative sum of
-    nonnegative probabilities never decreases.  The x2 and cell CDFs are
-    stored transposed, one row per CDF entry, indexed by x1 and by the
-    flat context ``x1 * k2 + x2``.  ``propensity`` and ``p_click`` are
-    flat over ``(context, cell)``, ``p_sale`` over ``(context, action)``.
-    """
-
-    x1_cdf: np.ndarray
-    x2_cdf: np.ndarray
-    cell_cdf: np.ndarray
+    x1: tuple
+    x2: tuple
+    cell: tuple
     propensity: np.ndarray
     p_click: np.ndarray
     p_sale: np.ndarray | None
@@ -221,18 +261,19 @@ class _DayTables(NamedTuple):
 def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     spec = gt.spec
     cell_probs = policy.cell_probs().reshape(spec.k1 * spec.k2, -1)
+    repeat = spec.action_cells // spec.n_actions
     return _DayTables(
-        x1_cdf=np.cumsum(gt.p_x1)[:-1],
-        x2_cdf=np.ascontiguousarray(np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1].T),
-        cell_cdf=np.ascontiguousarray(np.cumsum(cell_probs, axis=1)[:, :-1].T),
+        x1=_guide(np.cumsum(gt.p_x1)[None, :-1]),
+        x2=_guide(np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1]),
+        cell=_guide(np.cumsum(cell_probs, axis=1)[:, :-1]),
         propensity=cell_probs.ravel(),
         p_click=sigmoid(gt.click_logit).ravel(),
-        p_sale=None if gt.sale_logit is None else sigmoid(gt.sale_logit).ravel(),
+        p_sale=None if gt.sale_logit is None else np.repeat(sigmoid(gt.sale_logit), repeat, axis=-1).ravel(),
         spec=spec,
     )
 
 
-def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u3: np.ndarray) -> None:
+def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, counts) -> None:
     """Inverse-CDF simulation of one chunk of rows from the day's tables.
 
     x1 counts the CDF entries at or below its uniform (numpy's
@@ -241,33 +282,42 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u3: np.ndarra
     s)`` into the length-``len(u)`` columns of ``out``: int32 covariates
     and actions, float64 propensities and int8 outcomes, with ``d`` or
     ``s`` None when the environment has no decision axis or no sale
-    mechanism.  ``u3`` is ``(3, len(u))`` float64 scratch that receives a
-    contiguous copy of the three uniforms the CDF loops reuse.
+    mechanism.  Adds each row to its :func:`glm.tally` bin of int64
+    ``counts``.  ``u4`` is ``(4, len(u))`` float64 scratch for a contiguous
+    copy of the uniforms the draws and clicks compare, ``idx`` intp scratch.
     """
     spec = tables.spec
     x1, x2, a, d, propensity, c, s = out
-    np.copyto(u3, u[:, :3].T)
-    u0, u1, u2 = u3
-    x1.fill(0)
-    for entry in tables.x1_cdf:
-        x1 += entry <= u0
-    x2.fill(0)
-    for row in tables.x2_cdf:
-        x2 += row.take(x1) < u1
-    context = x1 * spec.k2 + x2
-    cell = a if d is None else np.empty_like(a)
-    cell.fill(0)
-    for row in tables.cell_cdf:
-        cell += row.take(context) < u2
-    flat = context * spec.action_cells + cell
-    tables.propensity.take(flat, out=propensity)
+    np.copyto(u4, u[:, :4].T)
+    # propensity and c are scratch until their own values are written, and
+    # the x1 uniforms' row until the contexts are.
     clicked = c.view(np.bool_)
-    np.less(u[:, 3], tables.p_click.take(flat), out=clicked)
-    if d is not None:
-        np.divmod(cell, spec.n_decisions, out=(a, d))
+    scratch = (idx, propensity, clicked)
+    _draw(*tables.x1, np.less_equal, u4[0], 0, x1, *scratch)
+    np.multiply(x1, GUIDE_BUCKETS, out=x2)
+    _draw(*tables.x2, np.less, u4[1], x2, x2, *scratch)
+    context = u4[0].view(np.intp)
+    np.multiply(x1, spec.k2, out=context)
+    context += x2
+    np.multiply(context, GUIDE_BUCKETS, out=a)
+    _draw(*tables.cell, np.less, u4[2], a, a, *scratch)
+    np.multiply(context, spec.action_cells, out=idx)
+    idx += a
+    np.less(u4[3], tables.p_click.take(idx, out=propensity), out=clicked)
     if s is not None:
-        np.less(u[:, 4], tables.p_sale.take(context * spec.n_actions + a), out=s.view(np.bool_))
+        np.less(u[:, 4], tables.p_sale.take(idx, out=propensity), out=s.view(np.bool_))
         np.copyto(s, np.int8(-1), where=~clicked)
+    tables.propensity.take(idx, out=propensity)
+    if d is not None:
+        np.divmod(a, spec.n_decisions, out=(a, d))
+    # A row's outcome is c, or s + 1 with sales: s is -1 unless clicked.
+    idx *= 3
+    if s is None:
+        idx += c
+    else:
+        idx += s
+        idx += 1
+    counts += np.bincount(idx, minlength=len(counts))
 
 
 def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
@@ -288,10 +338,6 @@ def _empty_columns(gt: GroundTruth, n: int, with_arm: bool) -> tuple:
 def _rows(columns: tuple, start: int, stop: int) -> tuple:
     """Views of rows ``[start, stop)`` of every present column."""
     return tuple(None if col is None else col[start:stop] for col in columns)
-
-
-def _as_log(columns: tuple) -> Log:
-    return Log(**dict(zip(LOG_COLUMNS, columns)))
 
 
 def _worker_count(workers, chunks: int) -> int:
@@ -327,8 +373,9 @@ def run_day(
     calling thread runs stripe 0 and a helper thread each other stripe; a
     day of one chunk starts no thread.  ``workers`` defaults to one per
     CPU the process may run on.  Each stripe refills one uniform block and
-    one scratch copy per chunk, allocated here by the calling thread, so a
-    helper thread's own allocations stay small.
+    two scratch arrays per chunk and adds its rows to one row of cell
+    counts, all allocated here by the calling thread, so a helper thread's
+    own allocations stay small.
 
     ``out`` is the destination, as in numpy's ``out=``: one length-``n``
     array per name in :data:`LOG_COLUMNS`, of the log's dtype, or None
@@ -339,7 +386,9 @@ def run_day(
 
     Returns
     -------
-    (Log, DayReport)
+    (Log, DayReport, Tally)
+        The tally is the day's cell counts, equal to ``glm.tally(log,
+        gt.spec)``, counted by the chunks as they are drawn.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -358,14 +407,18 @@ def run_day(
     # The sampler's (x1, x2, a, d, propensity, c, s), in LOG_COLUMNS order.
     sampled = out[1:8]
     rows = min(chunk_rows, n)
-    buffers = [(np.empty((rows, UNIFORMS_PER_ROW)), np.empty((3, rows))) for _ in range(stripes)]
+    buffers = [
+        (np.empty((rows, UNIFORMS_PER_ROW)), np.empty((4, rows)), np.empty(rows, np.intp)) for _ in range(stripes)
+    ]
+    bins = np.zeros((stripes, 3 * tables.propensity.size), dtype=np.int64)
 
     def stripe(k):
-        u, u3 = buffers[k]
+        u, u4, idx = buffers[k]
         for start in starts[k::stripes]:
             stop = min(start + chunk_rows, n)
             m = stop - start
-            _simulate_chunk(tables, stream.uniforms(start, m, u[:m]), _rows(sampled, start, stop), u3[:, :m])
+            uniforms = stream.uniforms(start, m, u[:m])
+            _simulate_chunk(tables, uniforms, _rows(sampled, start, stop), u4[:, :m], idx[:m], bins[k])
 
     if stripes == 1:
         stripe(0)
@@ -378,14 +431,16 @@ def run_day(
     out[0][:] = day
     if arm is not None:
         out[8][:] = ARM_CODES[arm]
-    log = _as_log(out)
+    log = Log(**dict(zip(LOG_COLUMNS, out)))
+    bins = bins.sum(axis=0).reshape(gt.spec.cell_shape + (3,))
+    counts = _bins_tally(bins, gt.sale_logit is not None, (int(day), int(day)))
     expected = expected_policy_ctr(gt, policy)
     oracle = expected_policy_ctr(gt, oracle_policy(gt, policy.visibility))
     report = DayReport(
         day=int(day),
         arm=arm or "",
         samples=int(n),
-        empirical_ctr=float(log.c.mean()),
+        empirical_ctr=int(counts.clicks.sum()) / int(n),
         binomial_se=float(np.sqrt(expected * (1.0 - expected) / n)),
         expected_ctr=expected,
         oracle_ctr=oracle,
@@ -393,7 +448,7 @@ def run_day(
         model_trained_on=model_trained_on,
         features_used=policy.visibility,
     )
-    return log, report
+    return log, report, counts
 
 
 def _daily_model(counts: Tally, features, cfg: ScenarioConfig) -> FittedModel:
@@ -424,13 +479,12 @@ def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")
             model = _daily_model(counts, features, cfg)
             policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
             trained_on = model.training_day_range
-        log, report = run_day(
+        _, report, counts = run_day(
             gt, policy, n, day, DayStream(cfg.seed, day, 0),
             model_trained_on=trained_on, out=_rows(columns, day * n, (day + 1) * n),
         )
-        counts = tally(log, cfg.spec)
         reports.append(report)
-    return ScenarioResult(gt=gt, reports=reports, log=_as_log(columns))
+    return ScenarioResult(gt=gt, reports=reports, log=Log._prevalidated(**dict(zip(LOG_COLUMNS, columns))))
 
 
 def scenario_ab_test(
@@ -464,11 +518,10 @@ def scenario_ab_test(
             model = _daily_model(counts, ("x1",), cfg)
             policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
             trained_on = model.training_day_range
-        log, report = run_day(
+        _, report, counts = run_day(
             gt, policy, n, day, DayStream(cfg.seed, day, 0),
             model_trained_on=trained_on, arm="", out=_rows(columns, day * n, (day + 1) * n),
         )
-        counts = tally(log, cfg.spec)
         common_reports.append(report)
     arm_reports: dict[str, list[DayReport]] = {"A": [], "B": []}
     train_a = train_b = counts
@@ -479,17 +532,16 @@ def scenario_ab_test(
         policy_a = epsilon_greedy(model_a, cfg.epsilon, cfg.spec)
         policy_b = epsilon_greedy(model_b, cfg.epsilon, cfg.spec)
         start, split, stop = day * n, day * n + n_a, (day + 1) * n
-        log_a, report_a = run_day(
+        _, report_a, train_a = run_day(
             gt, policy_a, n_a, day, DayStream(cfg.seed, day, 1),
             model_trained_on=model_a.training_day_range, arm="A", out=_rows(columns, start, split),
         )
-        log_b, report_b = run_day(
+        _, report_b, train_b = run_day(
             gt, policy_b, n - n_a, day, DayStream(cfg.seed, day, 2),
             model_trained_on=model_b.training_day_range, arm="B", out=_rows(columns, split, stop),
         )
         arm_reports["A"].append(report_a)
         arm_reports["B"].append(report_b)
-        train_a, train_b = tally(log_a, cfg.spec), tally(log_b, cfg.spec)
         if shared_log:
             train_a = train_b = sum_tallies([train_a, train_b])
     return ABResult(
@@ -497,7 +549,7 @@ def scenario_ab_test(
         shared_log=shared_log,
         common_reports=common_reports,
         arm_reports=arm_reports,
-        log=_as_log(columns),
+        log=Log._prevalidated(**dict(zip(LOG_COLUMNS, columns))),
     )
 
 
@@ -526,10 +578,9 @@ def scenario_click_sale(
         raise ValueError("gt.spec must match cfg.spec")
     if gt.sale_logit is None:
         raise ValueError("click/sale study needs an environment with a sale mechanism")
-    log, log_report = run_day(
+    log, log_report, counts = run_day(
         gt, uniform_policy(cfg.spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
-    counts = tally(log, cfg.spec)
 
     def product_policy(sale_feats, click_feats, source):
         sale_model = fit_counts(FeatureSpec(sale_feats, ("a",), cfg.spec), counts, TARGET_SALE_GIVEN_CLICK)
@@ -607,10 +658,9 @@ def scenario_two_decision(
         gt = make_default_ground_truth(spec, cfg.seed, cfg.min_gap)
     elif gt.spec != spec:
         raise ValueError("gt.spec must match cfg.spec")
-    log, log_report = run_day(
+    log, log_report, counts = run_day(
         gt, uniform_policy(spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
-    counts = tally(log, spec)
     joint_model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
     joint_pol = epsilon_greedy(joint_model, 0.0, spec)
 

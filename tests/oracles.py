@@ -15,9 +15,10 @@ row and caps each draw instead of counting entries of per-day lookup
 tables, and a fit that encodes every training row and sums float
 outcomes instead of summing out the integer cell tallies of a log.
 It also keeps the point click and sale probabilities of an environment,
-a one-context ``rng.choice`` action draw, and the covariate draw
-``sample_context`` with its capped inverse-CDF count, which only tests
-use.
+a one-context ``rng.choice`` action draw, the covariate draw
+``sample_context`` with its capped inverse-CDF count, and the analytic
+gradient of the factored-policy objective, ``exact_gradient``, which only
+tests use.
 Tests freeze oracle outputs as literals wherever the value is a single
 number, so a regression in the oracle itself cannot mask a regression
 in the library.
@@ -475,6 +476,30 @@ def _reference_objective(model, params, gt) -> float:
     pi_d = softmax_rows(params.decision_logits)[ctx_d]
     table = prediction_table(model)
     return float(np.einsum("ij,ija,ijd,ijad->", gt.covariate_weights, pi_a, pi_d, table))
+
+
+def exact_gradient(model, params, gt):
+    """Analytic gradient of ``exact_objective`` in both heads' logits.
+
+    For a softmax head the derivative in logit (c, a) is
+    ``sum over contexts x in c of w(x) pi(a | c) (mbar(x, a) - V(x))``
+    where ``mbar`` marginalises the reward table over the other head and
+    ``V`` is the context value.  Returns ``(g_action, g_decision)`` with
+    the same shapes as the logit matrices.
+    """
+    ctx_a, ctx_d = params.context_grids()
+    pi_a = softmax_rows(params.action_logits)[ctx_a]
+    pi_d = softmax_rows(params.decision_logits)[ctx_d]
+    table = prediction_table(model)
+    weights = gt.covariate_weights[:, :, None]
+    mbar_a = np.einsum("ijd,ijad->ija", pi_d, table)
+    mbar_d = np.einsum("ija,ijad->ijd", pi_a, table)
+    value = np.einsum("ija,ija->ij", pi_a, mbar_a)[:, :, None]
+    g_action = np.zeros_like(params.action_logits)
+    g_decision = np.zeros_like(params.decision_logits)
+    np.add.at(g_action, ctx_a, weights * pi_a * (mbar_a - value))
+    np.add.at(g_decision, ctx_d, weights * pi_d * (mbar_d - value))
+    return g_action, g_decision
 
 
 def _reference_sample_rows(p_rows, u):

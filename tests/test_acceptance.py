@@ -38,7 +38,6 @@ from confoundsim import (
     d_separated,
     epsilon_greedy,
     estimate_gradient,
-    exact_gradient,
     exact_objective,
     fit,
     fit_cov_model,
@@ -69,6 +68,7 @@ from oracles import (
     central_difference,
     conditionally_independent,
     dag_joint_table,
+    exact_gradient,
     newton_fit,
     subcell_tallies,
 )
@@ -152,7 +152,7 @@ def _adjustment_probe(seed: int):
         FeatureSpec(("x1", "x2"), ("a",), spec), gt.click_logit.reshape(-1), "click", (0, 0), 0
     )
     logger = epsilon_greedy(true_model, 0.05, spec)
-    log, _ = run_day(gt, logger, 400_000, day=0, stream=DayStream(seed, 0))
+    log, _, _ = run_day(gt, logger, 400_000, day=0, stream=DayStream(seed, 0))
     full = fit(log, FeatureSpec(("x1", "x2"), ("a",), spec))
     naive = fit(log, FeatureSpec(("x1",), ("a",), spec))
     cov = fit_cov_model(log, spec)
@@ -500,7 +500,7 @@ class TestCriterion8Determinism:
         policy = uniform_policy(DEFAULT_SPEC)
 
         def day_ndjson(workers: int) -> str:
-            log, _ = run_day(gt, policy, 70_000, day=0, stream=DayStream(0, 0), workers=workers)
+            log, _, _ = run_day(gt, policy, 70_000, day=0, stream=DayStream(0, 0), workers=workers)
             buf = io.StringIO()
             log.to_ndjson(buf)
             return buf.getvalue()

@@ -273,7 +273,7 @@ class TestCovModel:
 
     def test_large_sample_concentration(self):
         gt = make_default_ground_truth(SPEC, seed=3)
-        log, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(3, 1, 0))
+        log, _, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(3, 1, 0))
         cov = fit_cov_model(log, SPEC)
         assert np.max(np.abs(cov.p_x2_given_x1 - gt.p_x2_given_x1)) <= 0.01
 
@@ -350,7 +350,7 @@ class TestBackdoorAdjust:
 
     def test_model_must_include_x2(self):
         gt = make_default_ground_truth(SPEC, seed=0)
-        log, _ = run_day(gt, uniform_policy(SPEC), 20_000, 1, DayStream(0, 1, 0))
+        log, _, _ = run_day(gt, uniform_policy(SPEC), 20_000, 1, DayStream(0, 1, 0))
         blind = fit(log, FeatureSpec(("x1",), ("a",), SPEC))
         cov = fit_cov_model(log, SPEC)
         with pytest.raises(ValueError):
@@ -489,14 +489,14 @@ class TestGraphEstimateEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_naive_matches_adjusted_only_on_base_graph(self, seed):
         gt = make_default_ground_truth(SPEC, seed=seed, min_gap=0.02)
-        day1, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(seed, 1, 0))
+        day1, _, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(seed, 1, 0))
         results = {}
         for label, included in (("base", ("x1",)), ("aware", ("x1", "x2"))):
             deployed = epsilon_greedy(fit(day1, FeatureSpec(included, ("a",), SPEC)), 0.05, SPEC)
             assert backdoor_admissible(
                 base_click_dag(x2_to_action="x2" in included), "a", "c", {"x1"}
             ) is (label == "base")
-            day2, _ = run_day(gt, deployed, 400_000, 2, DayStream(seed, 2, 0))
+            day2, _, _ = run_day(gt, deployed, 400_000, 2, DayStream(seed, 2, 0))
             full = fit(day2, FULL)
             cov = fit_cov_model(day2, SPEC)
             x1 = np.asarray(day2.x1)

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from confoundsim import CategoricalSpec, make_default_ground_truth
-from confoundsim.cli import COMPARISON_COLUMNS, REPORT_COLUMNS, main
+from confoundsim.cli import COMPARISON_COLUMNS, REPORT_COLUMNS, _build_parser, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BASE_GRAPH = "x1 -> a; x1 -> c; x1 -> x2; x2 -> c; a -> c"
 AWARE_GRAPH = BASE_GRAPH + "; x2 -> a"
 
@@ -341,3 +345,34 @@ class TestExitCodes:
         )
         assert code == 3
         assert "internal error:" in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    def test_consecutive_calls_write_what_separate_runs_write(self, capsys, tmp_path):
+        argvs = [
+            ("feature-engineering", "--dump-log", "--days", "3"),
+            ("ab-test", "--shared-log", "--dump-log", "--days", "3"),
+        ]
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"separate{k}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "confoundsim.cli", *argv, "--out", str(out), *SMALL],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for argv in argvs:
+            assert run(capsys, *argv, "--out", str(tmp_path / "together"), *SMALL)[0] == 0
+        separate = {**tree_bytes(tmp_path / "separate0"), **tree_bytes(tmp_path / "separate1")}
+        assert tree_bytes(tmp_path / "together") == separate
+
+    @pytest.mark.parametrize("argv", [("--help",), ("ab-test", "--help"), ("dag-check", "--help")])
+    def test_help_text_is_that_of_a_fresh_parser(self, capsys, argv):
+        main(["dag-check", BASE_GRAPH, "--treatment", "a", "--outcome", "c", "--adjust", "x1,x2"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            _build_parser.__wrapped__().parse_args(list(argv))
+        fresh = capsys.readouterr().out
+        assert run(capsys, *argv) == (0, fresh, "")
+        assert fresh.startswith("usage: confoundsim")

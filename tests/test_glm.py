@@ -51,7 +51,7 @@ def cell_log(clicks, impressions, x1=0, x2=0, a=0, day=0):
 
 def simulated_log(n=50_000, seed=0):
     gt = make_default_ground_truth(SPEC, seed=seed)
-    log, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(seed, 0, 0))
+    log, _, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(seed, 0, 0))
     return gt, log
 
 

@@ -18,7 +18,6 @@ from confoundsim import (
     ScenarioConfig,
     SearchConfig,
     estimate_gradient,
-    exact_gradient,
     exact_objective,
     fit_counts,
     make_default_ground_truth,
@@ -39,6 +38,7 @@ from oracles import (
     central_difference,
     enum_factored_objective,
     estimate_gradient_reference,
+    exact_gradient,
     inverse_cdf,
     reinforce_reference,
 )
@@ -429,7 +429,7 @@ class TestByteContract:
         seed = TWO_DECISION_SEEDS[0]
         spec = TWO_DECISION_SPEC
         gt = make_default_ground_truth(spec, seed, ScenarioConfig().min_gap)
-        log, _ = run_day(gt, uniform_policy(spec), 20_000, 0, DayStream(seed, 0, 0))
+        log, _, _ = run_day(gt, uniform_policy(spec), 20_000, 0, DayStream(seed, 0, 0))
         counts = tally(log, spec)
         model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
         heads = [

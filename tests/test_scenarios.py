@@ -27,6 +27,7 @@ from confoundsim import (
     scenario_feature_engineering,
     scenario_two_decision,
     sigmoid,
+    tally,
     uniform_policy,
 )
 from confoundsim.fixtures import (
@@ -60,7 +61,7 @@ class TestRunDay:
     def test_uniform_on_flat_truth(self):
         gt = flat_truth()
         n = 50_000
-        log, report = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(0, 0, 0))
+        log, report, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(0, 0, 0))
         assert report.expected_ctr == pytest.approx(0.5, abs=1e-15)
         assert report.binomial_se == pytest.approx(np.sqrt(0.25 / n), abs=1e-15)
         assert abs(report.empirical_ctr - 0.5) <= 4 * report.binomial_se
@@ -69,23 +70,23 @@ class TestRunDay:
 
     def test_expected_ctr_is_sample_size_free(self):
         gt = make_default_ground_truth(SPEC, seed=0, min_gap=0.02)
-        _, small = run_day(gt, uniform_policy(SPEC), 1_000, 0, DayStream(0, 0, 0))
-        _, large = run_day(gt, uniform_policy(SPEC), 64_000, 0, DayStream(0, 0, 0))
+        _, small, _ = run_day(gt, uniform_policy(SPEC), 1_000, 0, DayStream(0, 0, 0))
+        _, large, _ = run_day(gt, uniform_policy(SPEC), 64_000, 0, DayStream(0, 0, 0))
         assert small.expected_ctr == large.expected_ctr
         assert small.oracle_ctr == large.oracle_ctr
 
     def test_byte_identical_rerun(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02)
-        a, _ = run_day(gt, uniform_policy(SPEC), 30_000, 2, DayStream(1, 2, 0))
-        b, _ = run_day(gt, uniform_policy(SPEC), 30_000, 2, DayStream(1, 2, 0))
+        a, _, _ = run_day(gt, uniform_policy(SPEC), 30_000, 2, DayStream(1, 2, 0))
+        b, _, _ = run_day(gt, uniform_policy(SPEC), 30_000, 2, DayStream(1, 2, 0))
         assert ndjson_text(a) == ndjson_text(b)
 
     def test_worker_count_does_not_change_the_log(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02)
         n = CHUNK_ROWS + 1234
-        serial, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=1)
-        threaded, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=4)
-        numpy_count, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=np.int64(2))
+        serial, _, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=1)
+        threaded, _, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=4)
+        numpy_count, _, _ = run_day(gt, uniform_policy(SPEC), n, 0, DayStream(1, 0, 0), workers=np.int64(2))
         assert ndjson_text(serial) == ndjson_text(threaded) == ndjson_text(numpy_count)
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, np.bool_(True), "2"])
@@ -108,7 +109,7 @@ class TestRunDay:
 
     def test_report_metadata(self):
         gt = make_default_ground_truth(SPEC, seed=0, min_gap=0.02)
-        _, report = run_day(
+        _, report, _ = run_day(
             gt, uniform_policy(SPEC), 1_000, 3, DayStream(0, 3, 1),
             model_trained_on=(2, 2), arm="B",
         )
@@ -138,10 +139,10 @@ class TestRunDay:
 
     def test_out_receives_the_day_in_place(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02, with_sales=True)
-        fresh, report = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A")
+        fresh, report, _ = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A")
         whole = tuple(None if col is None else np.zeros_like(col) for col in _empty_columns(gt, 6_000, True))
         out = tuple(None if col is None else col[500:5_500] for col in whole)
-        log, same = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A", out=out)
+        log, same, _ = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A", out=out)
         assert same == report
         assert ndjson_text(log) == ndjson_text(fresh)
         for name, col in zip(LOG_COLUMNS, out):
@@ -196,7 +197,9 @@ def simulate_chunk(gt, policy, u):
     for col in out:
         if col is not None:
             col.view(np.uint8).fill(0x5A)
-    _simulate_chunk(_day_tables(gt, policy), u, out, np.empty((3, len(u))))
+    tables = _day_tables(gt, policy)
+    scratch = (np.empty((4, len(u))), np.empty(len(u), dtype=np.intp))
+    _simulate_chunk(tables, u, out, *scratch, np.zeros(3 * tables.propensity.size, dtype=np.int64))
     return out
 
 
@@ -277,7 +280,7 @@ class TestSamplerByteContract:
         policy = sampler_policy(spec, "epsilon-greedy", 0.05, np.random.default_rng(4))
         n = 2 * CHUNK_ROWS + 1234
         stream = DayStream(4, 3, 2)
-        log, _ = run_day(gt, policy, n, 3, stream, arm=arm)
+        log, _, _ = run_day(gt, policy, n, 3, stream, arm=arm)
         chunks = [
             reference_columns(gt, policy, stream.uniforms(start, min(CHUNK_ROWS, n - start)))
             for start in range(0, n, CHUNK_ROWS)
@@ -300,7 +303,7 @@ class TestSamplerByteContract:
         policy = sampler_policy(spec, "epsilon-greedy", 0.1, np.random.default_rng(2))
 
         def day_ndjson(workers):
-            log, _ = run_day(gt, policy, 70_000, 1, DayStream(2, 1, 0), workers=workers)
+            log, _, _ = run_day(gt, policy, 70_000, 1, DayStream(2, 1, 0), workers=workers)
             return ndjson_text(log)
 
         serial = day_ndjson(workers=1)
@@ -317,6 +320,89 @@ class TestSamplerByteContract:
             assert day_ndjson(workers=None) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+# Probability vectors whose CDFs put entries where a guide table has to
+# be exact: on bucket edges k/256, two or three distinct entries in one
+# bucket, runs of equal entries (zero cells), kept entries at or above
+# 1.0, and an entry in the last bucket.
+GUIDE_EDGE_PROBS = {
+    "bucket-edges": [1 / 256, 63 / 256, 64 / 256, 128 / 256],
+    "two-levels": [0.1, 0.001, 0.002, 0.897],
+    "three-levels": [0.1, 0.0005, 0.0005, 0.899],
+    "equal-runs": [0.25, 0.0, 0.0, 0.5, 0.25],
+    "leading-zeros": [0.0, 0.0, 0.5, 0.5],
+    "entries-at-one": [0.25, 0.75, 0.0, 0.0],
+    "entry-above-one": [0.5, 0.5 + 2.0**-52, 0.0],
+    "last-bucket": [0.5, 0.498, 0.002],
+}
+
+
+def edge_uniforms(cdf, rng):
+    """Rows whose first three uniforms cover 0.0, every bucket edge k/256,
+    every CDF entry and its neighbours, and U_TOP, in three independent
+    orders; the other five uniforms are random."""
+    values = {0.0, U_TOP, *(k / 256 for k in range(256))}
+    for e in cdf:
+        values |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
+    values = np.array(sorted(v for v in values if 0.0 <= v < 1.0))
+    u = rng.random((len(values), 8))
+    for col in range(3):
+        u[:, col] = rng.permutation(values)
+    return u
+
+
+class TestGuideTableEdges:
+    """The guide tables draw the reference's bytes where an entry or a
+    uniform sits on a bucket edge, a bucket holds several levels, entries
+    repeat, or a kept entry reaches 1.0."""
+
+    @pytest.mark.parametrize("with_sales", [False, True])
+    @pytest.mark.parametrize("name", list(GUIDE_EDGE_PROBS))
+    def test_chunk_matches_reference(self, name, with_sales):
+        probs = np.array(GUIDE_EDGE_PROBS[name])
+        k = len(probs)
+        spec = CategoricalSpec(k1=k, k2=k, n_actions=k)
+        rng = np.random.default_rng(k)
+        gt = GroundTruth(
+            spec=spec,
+            p_x1=probs,
+            p_x2_given_x1=np.tile(probs, (k, 1)),
+            click_logit=rng.normal(size=spec.cell_shape),
+            sale_logit=rng.normal(size=spec.cell_shape) if with_sales else None,
+        )
+        policy = Policy(spec, np.broadcast_to(probs, spec.cell_shape), ())
+        u = edge_uniforms(np.cumsum(probs), rng)
+        assert_same_columns(simulate_chunk(gt, policy, u), reference_columns(gt, policy, u))
+        tables = _day_tables(gt, policy)
+        levels = {"two-levels": 2, "three-levels": 3}.get(name, 1)
+        assert [len(values) - 1 for _, values in tables[:3]] == [levels] * 3
+
+
+def same_tally(got, want) -> bool:
+    for field in ("impressions", "clicks", "sales"):
+        g, w = getattr(got, field), getattr(want, field)
+        if (g is None) != (w is None):
+            return False
+        if w is not None and (g.dtype != w.dtype or g.shape != w.shape or not np.array_equal(g, w)):
+            return False
+    return got.day_range == want.day_range
+
+
+class TestDayTally:
+    """run_day counts each row as its chunk draws it; the counts equal a
+    tally of the day's log, and the empirical CTR is the log's mean click."""
+
+    @pytest.mark.parametrize("with_sales,arm", [(False, None), (True, None), (False, "A"), (True, "B")])
+    @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=str)
+    def test_counts_are_the_tally_of_the_log(self, spec, with_sales, arm):
+        gt = make_default_ground_truth(spec, 5, min_gap=0.0, with_sales=with_sales)
+        policy = sampler_policy(spec, "random", 0.1, np.random.default_rng(5))
+        for n in (1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7):
+            for workers in (1, 3):
+                log, report, counts = run_day(gt, policy, n, 4, DayStream(5, 4, 0), arm=arm, workers=workers)
+                assert same_tally(counts, tally(log, spec)), (n, workers)
+                assert report.empirical_ctr == float(log.c.mean()), (n, workers)
 
 
 class TestFeatureEngineeringLoop:
