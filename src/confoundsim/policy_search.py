@@ -12,14 +12,15 @@ oracle of ``tests/oracles.py``); the sampled estimator
 (:func:`estimate_gradient`) and the plain stochastic-ascent loop
 (:func:`reinforce_optimize`) are checked against them in tests.
 
-Both sampled routes run one batch routine.  Each batch draws three runs
-of ``batch_size`` uniforms, for contexts, actions and decisions in that
-order, and its results are bit-identical to the per-batch reference in
-``tests/oracles.py``: a draw counts the entries of its CDF row, less the
-last, that lie strictly below the uniform, which on a nondecreasing row is
-the capped count of ``inverse_cdf`` in ``tests/oracles.py``; the
-per-row score sums are one ``bincount`` each, which adds every bin's
-terms in sample order as ``np.add.at`` does.
+Both sampled routes run one batch routine, bit-identical to the per-batch
+reference in ``tests/oracles.py``.  A batch spends three runs of ``batch_size``
+uniforms, for contexts, actions and decisions in that order; the search draws
+them, the covariate cells and the row maps for a block of batches at once.  A
+cell draw is the row sampler's guide-table x1 draw; an action or decision draw
+counts the entries of its CDF row, less the last, strictly below the uniform,
+which on a nondecreasing row is ``inverse_cdf``'s capped count.  Each head's
+per-row score sums are one ``bincount``, which adds every bin's terms in sample
+order as ``np.add.at`` does.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import softmax_rows
+from .numerics import _draw, _guide, softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -88,16 +89,14 @@ class SearchConfig:
 
 # What a search reads besides the logits, fixed while it runs.  table and
 # grid_* (k1, k2)-shaped serve the exact objective; the batch routine reads
-# the flat reward table, the covariate CDF over flattened (x1, x2) cells
-# without its last entry, the flat cell -> head-row maps rows_*, and each
-# head's bin table bins_*[r, c] = r * n_cols + c.
-_SearchInputs = namedtuple(
-    "_SearchInputs", "table weights grid_a grid_d rewards cell_cdf rows_a rows_d bins_a bins_d"
-)
+# the flat reward table, the guide table of the covariate CDF over flattened
+# (x1, x2) cells without its last entry, and the flat cell -> head-row maps
+# rows_*.
+_SearchInputs = namedtuple("_SearchInputs", "table weights grid_a grid_d rewards cell_guide rows_a rows_d")
 
-
-def _bins(n_rows: int, n_cols: int) -> np.ndarray:
-    return np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+# Samples per block of draws: a block of max(1, BLOCK_SAMPLES // batch_size)
+# iterations keeps its arrays small at any batch size.
+BLOCK_SAMPLES = 16384
 
 
 def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundTruth) -> _SearchInputs:
@@ -112,23 +111,10 @@ def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
         grid_a,
         grid_d,
         table.ravel(),
-        np.cumsum(weights.ravel())[:-1],
+        _guide(np.cumsum(weights.ravel())[None, :-1]),
         grid_a.ravel(),
         grid_d.ravel(),
-        _bins(*params.action_logits.shape),
-        _bins(*params.decision_logits.shape),
     )
-
-
-def _row_sums(bins: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``out[r, c]`` sums ``values[..., c]`` over every position where ``rows`` is r.
-
-    ``bins`` is the ``(n_rows, n_cols)`` table of flat bin indices.  Each
-    ``bincount`` bin adds its values in input order from 0.0, so the sums
-    are bit-identical to ``np.add.at`` into zeros.
-    """
-    index = bins.take(rows, axis=0).ravel()
-    return np.bincount(index, weights=values.ravel(), minlength=bins.size).reshape(bins.shape)
 
 
 def _draw_columns(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -153,37 +139,54 @@ def exact_objective(model: FittedModel, params: FactoredPolicyParams, gt: Ground
     return _objective(_search_inputs(model, params, gt), params.action_logits, params.decision_logits)
 
 
-def _score_sums(
-    probs: np.ndarray, bins: np.ndarray, rows: np.ndarray, chosen: np.ndarray, advantage: np.ndarray
-) -> np.ndarray:
-    """Per-context-row sums of ``advantage * (onehot(chosen) - probs[row])``."""
-    score = (-probs).take(rows, axis=0)
-    score[np.arange(len(rows)), chosen] += 1.0
+def _draw_cells(guide: tuple, u: np.ndarray) -> np.ndarray:
+    """Covariate cell of each uniform of ``u`` by the row sampler's x1 rule: the count of
+    entries of the guide's CDF, without its last, at or below it, as ``searchsorted(side="right")``."""
+    cells, idx = np.empty(u.shape, dtype=np.int32), np.empty(u.shape, dtype=np.intp)
+    _draw(*guide, np.less_equal, u, 0, cells, idx, np.empty(u.shape), np.empty(u.shape, dtype=np.bool_))
+    return cells
+
+
+def _draw_block(inputs: _SearchInputs, rng: np.random.Generator, iterations: int, batch_size: int):
+    """Uniforms, head rows and reward base index ``cell * n_a * n_d`` of each sample of
+    ``iterations`` batches.  PCG64 spends one 64-bit output per double, so the C-order fill
+    is the stream of three ``rng.random(batch_size)`` calls per batch, in the reference's order."""
+    u = rng.random((iterations, 3, batch_size))
+    cells = _draw_cells(inputs.cell_guide, u[:, 0])
+    per_cell = inputs.table[0, 0].size
+    return u, inputs.rows_a.take(cells), inputs.rows_d.take(cells), np.multiply(cells, per_cell, dtype=np.intp)
+
+
+def _head_gradient(pi, rows, chosen, advantage):
+    """Per-context-row sums of ``advantage * (onehot(chosen) - pi[row])``.
+
+    A score row is row ``row * n + chosen`` of the table ``eye[chosen] - pi[row]``: ``1.0 - pi``
+    at ``chosen``, else ``-pi``, or ``+0.0`` for a ``pi`` of 0.0.  Its terms go to the bins
+    ``row * n + column``; a ``bincount`` bin adds its terms in sample order from 0.0, so the
+    sums are bit-identical to ``np.add.at`` into zeros.
+    """
+    n = pi.shape[1]
+    score = (np.eye(n) - pi[:, None, :]).reshape(-1, n).take(rows * n + chosen, axis=0)
     score *= advantage[:, None]
-    return _row_sums(bins, rows, score)
+    index = np.arange(pi.size).reshape(pi.shape).take(rows, axis=0).ravel()
+    return np.bincount(index, weights=score.ravel(), minlength=pi.size).reshape(pi.shape)
 
 
-def _batch_gradient(inputs, action_logits, decision_logits, rng, batch_size, baseline_value):
-    # Uniforms are drawn for contexts, then actions, then decisions; the
-    # frozen two-decision seeds rest on this order.  Every CDF below is
-    # nondecreasing (covariate weights are nonnegative, and softmax rows of
-    # finite logits are finite and nonnegative), so counting against all
-    # but its last entry is the draw capped at the last column.
-    cells = np.searchsorted(inputs.cell_cdf, rng.random(batch_size), side="right")
-    rows_a = inputs.rows_a.take(cells)
-    rows_d = inputs.rows_d.take(cells)
+def _batch_gradient(inputs, action_logits, decision_logits, u, rows_a, rows_d, base, baseline_value):
+    # Every CDF below is nondecreasing (softmax rows of finite logits are
+    # finite and nonnegative), so counting against all but its last entry
+    # is the draw capped at the last column.
     pi_a = softmax_rows(action_logits)
     pi_d = softmax_rows(decision_logits)
-    a = _draw_columns(np.cumsum(pi_a, axis=1), rows_a, rng.random(batch_size))
-    d = _draw_columns(np.cumsum(pi_d, axis=1), rows_d, rng.random(batch_size))
-    n_a, n_d = pi_a.shape[1], pi_d.shape[1]
-    rewards = inputs.rewards.take((cells * n_a + a) * n_d + d)
+    a = _draw_columns(np.cumsum(pi_a, axis=1), rows_a, u[1])
+    d = _draw_columns(np.cumsum(pi_d, axis=1), rows_d, u[2])
+    rewards = inputs.rewards.take(base + a * pi_d.shape[1] + d)
     advantage = rewards - baseline_value
-    g_action = _score_sums(pi_a, inputs.bins_a, rows_a, a, advantage)
-    g_decision = _score_sums(pi_d, inputs.bins_d, rows_d, d, advantage)
-    g_action /= batch_size
-    g_decision /= batch_size
-    return g_action, g_decision, float(rewards.mean())
+    g_action = _head_gradient(pi_a, rows_a, a, advantage)
+    g_decision = _head_gradient(pi_d, rows_d, d, advantage)
+    g_action /= len(rewards)
+    g_decision /= len(rewards)
+    return g_action, g_decision, float(rewards.sum() / len(rewards))  # bit for bit rewards.mean()
 
 
 def estimate_gradient(
@@ -202,15 +205,15 @@ def estimate_gradient(
     row.  The estimate is unbiased for any ``baseline_value`` fixed before
     the batch.  Returns ``(g_action, g_decision, batch_mean_reward)``.
 
-    Runs the batch routine of every :func:`reinforce_optimize` iteration on
-    inputs built for this one call, so equal ``rng`` states give equal bits.
+    Draws a block of one batch and runs the batch routine of every
+    :func:`reinforce_optimize` iteration on inputs built for this one call,
+    so equal ``rng`` states give equal bits and equal states after.
     """
     inputs = _search_inputs(model, params, gt)
     if not _is_count(batch_size) or batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
-    return _batch_gradient(
-        inputs, params.action_logits, params.decision_logits, rng, batch_size, baseline_value
-    )
+    draws = (block[0] for block in _draw_block(inputs, rng, 1, batch_size))
+    return _batch_gradient(inputs, params.action_logits, params.decision_logits, *draws, baseline_value)
 
 
 def reinforce_optimize(
@@ -227,11 +230,12 @@ def reinforce_optimize(
     ``config.trace_path`` is set, appends one CSV row per iteration with
     the exact objective and the estimated gradient's norm.
 
-    The flat reward table, the covariate CDF, the cell-to-row maps and
-    each head's bincount bin table are built once per search; each
-    iteration runs :func:`estimate_gradient`'s batch routine on the bare
-    logit matrices, which become a :class:`FactoredPolicyParams` at the end.
-    Equal settings give final logits and trace bytes equal to the
+    The search's fixed inputs, the covariate guide table among them, are
+    built once.  Each block of ``max(1, BLOCK_SAMPLES // batch_size)``
+    iterations draws its uniforms, cells and row maps at once; each
+    iteration then runs :func:`estimate_gradient`'s batch routine on the
+    bare logit matrices, which become a :class:`FactoredPolicyParams` at the
+    end.  Equal settings give final logits and trace bytes equal to the
     per-iteration reference loop in ``tests/oracles.py``.
     """
     inputs = _search_inputs(model, init, gt)
@@ -246,25 +250,26 @@ def reinforce_optimize(
         trace = open(config.trace_path, "w", encoding="utf-8")
         trace.write("iteration,exact_objective,gradient_norm\n")
     try:
-        for iteration in range(config.iterations):
-            use_baseline = baseline if (config.baseline == "running-mean" and have_baseline) else 0.0
-            g_action, g_decision, batch_mean = _batch_gradient(
-                inputs, action, decision, rng, config.batch_size, use_baseline
-            )
-            action += config.learning_rate * g_action
-            decision += config.learning_rate * g_decision
-            if not (np.all(np.isfinite(action)) and np.all(np.isfinite(decision))):
-                raise RuntimeError("policy search diverged: non-finite logits")
-            if config.baseline == "running-mean":
-                if have_baseline:
-                    baseline = config.baseline_decay * baseline + (1.0 - config.baseline_decay) * batch_mean
-                else:
-                    baseline = batch_mean
-                    have_baseline = True
-            if trace is not None:
-                norm = float(np.sqrt((g_action ** 2).sum() + (g_decision ** 2).sum()))
-                objective = _objective(inputs, action, decision)
-                trace.write(f"{iteration},{objective!r},{norm!r}\n")
+        block = max(1, BLOCK_SAMPLES // config.batch_size)
+        for first in range(0, config.iterations, block):
+            draws = _draw_block(inputs, rng, min(block, config.iterations - first), config.batch_size)
+            for iteration, draw in enumerate(zip(*draws), first):
+                use_baseline = baseline if (config.baseline == "running-mean" and have_baseline) else 0.0
+                g_action, g_decision, batch_mean = _batch_gradient(inputs, action, decision, *draw, use_baseline)
+                action += config.learning_rate * g_action
+                decision += config.learning_rate * g_decision
+                if not (np.isfinite(action).all() and np.isfinite(decision).all()):
+                    raise RuntimeError("policy search diverged: non-finite logits")
+                if config.baseline == "running-mean":
+                    if have_baseline:
+                        baseline = config.baseline_decay * baseline + (1.0 - config.baseline_decay) * batch_mean
+                    else:
+                        baseline = batch_mean
+                        have_baseline = True
+                if trace is not None:
+                    norm = float(np.sqrt((g_action ** 2).sum() + (g_decision ** 2).sum()))
+                    objective = _objective(inputs, action, decision)
+                    trace.write(f"{iteration},{objective!r},{norm!r}\n")
     finally:
         if trace is not None:
             trace.close()

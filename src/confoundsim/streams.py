@@ -9,6 +9,7 @@ order, serially or in parallel, and the resulting log is byte-identical.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,12 @@ __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 # row start block-aligned.
 UNIFORMS_PER_ROW = 8
 _DRAWS_PER_BLOCK = 4
+
+# One Philox generator per thread.  Every call sets its whole state before
+# drawing, so nothing carries over between calls; a fresh
+# np.random.Philox(key=...) per call would draw OS entropy for a seed that
+# the key then overrides.
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -49,12 +56,15 @@ class DayStream:
             raise ValueError("seed must be nonnegative")
 
     @cached_property
-    def _key(self) -> np.ndarray:
-        """The Philox key, derived once per stream.  It is kept in the
-        instance ``__dict__``, outside the dataclass fields, so equality,
-        hashing and repr see only ``(seed, day, substream)``."""
+    def _state(self) -> dict:
+        """The Philox state at the stream's first draw, derived once per
+        stream.  It is kept in the instance ``__dict__``, outside the
+        dataclass fields, so equality, hashing and repr see only
+        ``(seed, day, substream)``."""
         ss = np.random.SeedSequence([int(self.seed), int(self.day), int(self.substream)])
-        return ss.generate_state(2, np.uint64)
+        state = np.random.Philox(0).state  # a zero counter and an empty buffer
+        state["state"]["key"] = ss.generate_state(2, np.uint64)
+        return state
 
     def uniforms(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform draws for rows ``start .. start + count - 1``.
@@ -70,6 +80,9 @@ class DayStream:
         # each row's draws down a column.
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        bg = np.random.Philox(key=self._key)
-        bg.advance(start * UNIFORMS_PER_ROW // _DRAWS_PER_BLOCK)
-        return np.random.Generator(bg).random((count, UNIFORMS_PER_ROW), out=out)
+        if not hasattr(_local, "generator"):
+            _local.generator = np.random.Generator(np.random.Philox(0))
+        gen = _local.generator
+        gen.bit_generator.state = self._state
+        gen.bit_generator.advance(start * UNIFORMS_PER_ROW // _DRAWS_PER_BLOCK)
+        return gen.random((count, UNIFORMS_PER_ROW), out=out)

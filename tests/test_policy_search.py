@@ -29,8 +29,8 @@ from confoundsim import (
 from confoundsim.features import context_count
 from confoundsim.fixtures import TWO_DECISION_SEEDS, TWO_DECISION_SPEC
 from confoundsim.glm import prediction_table
-from confoundsim.numerics import softmax_rows
-from confoundsim.policy_search import BASELINES, _draw_columns
+from confoundsim.numerics import _guide, softmax_rows
+from confoundsim.policy_search import BASELINES, BLOCK_SAMPLES, _draw_cells, _draw_columns
 from confoundsim.scenarios import default_two_decision_search
 from confoundsim.streams import DayStream
 from oracles import (
@@ -171,6 +171,55 @@ class TestDrawColumns:
         u = np.array([0.25, 0.2500001, 0.75, 1.0 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
         rows = np.array([0, 0, 0, 0, 1, 1])
         assert _draw_columns(cdf, rows, u).tolist() == [0, 1, 2, 2, 0, 2]
+
+
+# Largest double below 1.0: the top of numpy's uniform range.
+U_TOP = 1.0 - 2.0**-53
+
+
+@st.composite
+def covariate_draws(draw):
+    """Covariate weights with zero-weight cells, as dyadic counts k/256
+    (every CDF entry on a guide bucket edge) or as arbitrary shares, and
+    uniforms at 0.0, on each CDF entry and its neighbours, at U_TOP, and
+    fresh."""
+    cells = draw(st.integers(2, 30))
+    counts = np.array(draw(st.lists(st.integers(0, 8), min_size=cells, max_size=cells)), dtype=float)
+    if draw(st.booleans()):
+        # Counts out of 256: every CDF entry is a guide bucket edge.
+        counts[draw(st.integers(0, cells - 1))] += 256.0 - counts.sum()
+        weights = counts / 256.0
+    else:
+        counts[draw(st.integers(0, cells - 1))] += 1.0
+        weights = counts / counts.sum()
+    cdf = np.cumsum(weights)
+    values = {0.0, U_TOP}
+    for e in cdf:
+        values |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
+    fresh = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    u = np.array(sorted(v for v in values | set(fresh) if 0.0 <= v < 1.0))
+    return cdf, u[np.random.default_rng(cells).permutation(len(u))]
+
+
+class TestDrawCells:
+    """The search draws each covariate cell through the row sampler's guide
+    table; the draw is the capped ``searchsorted(side="right")`` of the
+    cumulative covariate weights."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=covariate_draws())
+    @example(case=(np.cumsum([0.25, 0.0, 0.0, 0.5, 0.25]), np.array([0.0, 0.25, 0.75, U_TOP, 0.5])))
+    def test_matches_searchsorted(self, case):
+        cdf, u = case
+        cells = len(cdf)
+        drawn = _draw_cells(_guide(cdf[None, :-1]), u)
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), cells - 1)
+        assert drawn.tolist() == expected.tolist()
+
+    def test_block_shape(self):
+        cdf = np.cumsum([0.5, 0.0, 0.25, 0.25])
+        u = np.array([[0.0, 0.5, 0.75], [U_TOP, 0.4999, 0.25]])
+        assert _draw_cells(_guide(cdf[None, :-1]), u).tolist() == [[0, 2, 3], [3, 0, 0]]
 
 
 class TestExactObjective:
@@ -352,6 +401,8 @@ class TestReinforceOptimize:
 
 CONTRACT_SPEC = CategoricalSpec(k1=3, k2=2, n_actions=3, n_decisions=2)
 CONTEXTS = [(), ("x1",), ("x2",), ("x1", "x2")]
+# Iterations per block of draws at the study's batch size.
+BLOCK = BLOCK_SAMPLES // 1024
 
 
 def contract_instance(action_context, decision_context):
@@ -410,6 +461,31 @@ class TestByteContract:
                 )
                 outcomes.append(search_outcome(search, model, init, config, gt, path))
             assert outcomes[0] == outcomes[1], (batch_size, iterations, traced)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "batch_size,iterations",
+        [(1024, n) for n in (BLOCK, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1)] + [(BLOCK_SAMPLES + 1, 3)],
+    )
+    def test_block_edges_match_reference(self, tmp_path, batch_size, iterations, traced):
+        """Searches that end just inside, at, or just past a block of
+        draws, and a batch too large to share a block with another."""
+        model, init, gt = contract_instance(("x1",), ("x2",))
+        outcomes = []
+        for name, search in (("search", reinforce_optimize), ("reference", reinforce_reference)):
+            path = tmp_path / f"{name}.csv" if traced else None
+            config = SearchConfig(
+                iterations=iterations,
+                batch_size=batch_size,
+                seed=11,
+                trace_path=None if path is None else str(path),
+            )
+            outcomes.append(search_outcome(search, model, init, config, gt, path))
+        assert isinstance(outcomes[0][0], tuple)
+        assert outcomes[0] == outcomes[1]
+        if traced:
+            rows = outcomes[0][1].decode().splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] == list(range(iterations))
 
     @pytest.mark.parametrize("baseline_value", [0.0, 0.3])
     @pytest.mark.parametrize("contexts", list(itertools.product(CONTEXTS, CONTEXTS)))
