@@ -21,13 +21,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .causal import Dag, backdoor_paths, format_path, parse_dag, unblocked_backdoor_path
+from .causal import Dag, backdoor_admissible, backdoor_paths, format_path, parse_dag, unblocked_backdoor_path
 from .features import COVARIATE_FACTORS, CategoricalSpec
 from .scenarios import (
     DayReport,
     ScenarioConfig,
+    _ab_tests,
     default_two_decision_search,
-    scenario_ab_test,
     scenario_click_sale,
     scenario_feature_engineering,
     scenario_two_decision,
@@ -224,10 +224,9 @@ def cmd_ab_test(args) -> int:
             "so pick --shared-log or --separate-logs"
         )
     cfg = _scenario_config(args)
-    results = {}
-    for shared in (True, False) if args.both else (args.shared_log,):
-        result = scenario_ab_test(cfg, shared_log=shared)
-        results["shared" if shared else "separate"] = result
+    regimes = (True, False) if args.both else (args.shared_log,)
+    ran = _ab_tests(cfg, regimes)
+    results = {"shared" if shared else "separate": res for shared, res in zip(regimes, ran)}
     summary = {
         "ab_start_day": cfg.ab_start_day,
         "regimes": {
@@ -243,7 +242,7 @@ def cmd_ab_test(args) -> int:
     # Both regimes share one environment, and only a single regime may dump
     # its log, so the last result speaks for the run.
     path = _emit(
-        args, "ab_test", cfg, result, summary, reports,
+        args, "ab_test", cfg, ran[-1], summary, reports,
         ab_start_day=cfg.ab_start_day, regimes=sorted(results),
     )
     for regime, series in sorted(summary["regimes"].items()):
@@ -316,16 +315,15 @@ def cmd_dag_check(args) -> int:
         if node not in g.nodes:
             raise UsageError(f"node {node!r} not in graph (nodes: {', '.join(g.nodes)})")
     adjust_text = "{" + ", ".join(zs) + "}" if zs else "{}"
-    bad = sorted(set(zs) & g.descendants(treatment))
-    if bad:
-        print(f"inadmissible: adjustment set {adjust_text} contains descendants of {treatment}: {', '.join(bad)}")
+    if not backdoor_admissible(g, treatment, outcome, zs):
+        bad = sorted(set(zs) & g.descendants(treatment))
+        if bad:
+            print(f"inadmissible: adjustment set {adjust_text} contains descendants of {treatment}: {', '.join(bad)}")
+        else:
+            print(f"inadmissible: adjusting on {adjust_text} leaves a backdoor path open")
+            print(f"  open path: {format_path(g, unblocked_backdoor_path(g, treatment, outcome, zs))}")
         return 1
     paths = backdoor_paths(g, treatment, outcome)
-    open_path = unblocked_backdoor_path(g, treatment, outcome, zs)
-    if open_path is not None:
-        print(f"inadmissible: adjusting on {adjust_text} leaves a backdoor path open")
-        print(f"  open path: {format_path(g, open_path)}")
-        return 1
     print(f"admissible: {adjust_text} blocks every backdoor path from {treatment} to {outcome}")
     if paths:
         for p in paths:

@@ -36,8 +36,6 @@ from .features import CategoricalSpec, FeatureSpec, _covariate_union, context_co
 from .glm import (
     TARGET_CLICK,
     TARGET_SALE_GIVEN_CLICK,
-    FittedModel,
-    Tally,
     _bins_tally,
     fit_counts,
     prediction_table,
@@ -406,8 +404,30 @@ def run_day(
     return log, report, counts
 
 
-def _daily_model(counts: Tally, features, cfg: ScenarioConfig) -> FittedModel:
-    return fit_counts(FeatureSpec(features, ("a",), cfg.spec), counts, target=TARGET_CLICK)
+def _retrain_day(cfg: ScenarioConfig, gt: GroundTruth, columns: tuple, day: int, arms) -> list:
+    """Run day ``day`` of a retraining study into its rows of ``columns``.
+
+    Each ``(arm, features, substream, train)`` of ``arms`` deploys an
+    epsilon-greedy policy on the click model of ``features`` fit to the
+    tally ``train`` (uniform when it is None) on stream ``(cfg.seed, day,
+    substream)``.  One arm fills the day; of two, the first takes ``n // 2``
+    rows.  Returns each arm's ``(DayReport, Tally)``.
+    """
+    n = cfg.samples_per_day
+    bounds = (day * n, day * n + n // 2, (day + 1) * n) if len(arms) == 2 else (day * n, (day + 1) * n)
+    done = []
+    for (arm, features, substream, train), start, stop in zip(arms, bounds, bounds[1:]):
+        if train is None:
+            policy, trained_on = uniform_policy(cfg.spec), None
+        else:
+            model = fit_counts(FeatureSpec(tuple(features), ("a",), cfg.spec), train, target=TARGET_CLICK)
+            policy, trained_on = epsilon_greedy(model, cfg.epsilon, cfg.spec), model.training_day_range
+        _, report, counts = run_day(
+            gt, policy, stop - start, day, DayStream(cfg.seed, day, substream),
+            model_trained_on=trained_on, arm=arm, out=_rows(columns, start, stop),
+        )
+        done.append((report, counts))
+    return done
 
 
 def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")) -> ScenarioResult:
@@ -423,21 +443,12 @@ def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")
     once; the next day's model is fit from that tally.
     """
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    n = cfg.samples_per_day
-    columns = _empty_columns(gt, cfg.days * n, with_arm=False)
+    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, with_arm=False)
     reports: list[DayReport] = []
-    policy = uniform_policy(cfg.spec)
-    trained_on = None
+    counts = None
     for day in range(cfg.days):
-        if day >= 1:
-            features = tuple(day2_features) if day == 2 else ("x1",)
-            model = _daily_model(counts, features, cfg)
-            policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
-            trained_on = model.training_day_range
-        _, report, counts = run_day(
-            gt, policy, n, day, DayStream(cfg.seed, day, 0),
-            model_trained_on=trained_on, out=_rows(columns, day * n, (day + 1) * n),
-        )
+        features = day2_features if day == 2 else ("x1",)
+        [(report, counts)] = _retrain_day(cfg, gt, columns, day, [(None, features, 0, counts)])
         reports.append(report)
     return ScenarioResult(gt=gt, reports=reports, log=Log._prevalidated(**dict(zip(LOG_COLUMNS, columns))))
 
@@ -452,60 +463,48 @@ def scenario_ab_test(
     Traffic splits 50/50 from ``cfg.ab_start_day``.  Under a shared log
     both arms train on the union of the previous day's arms, so arm A
     keeps retraining on arm B's x2-aware traffic; under separate logs each
-    arm trains only on its own previous day.
+    arm trains only on its own previous day.  Both arms of the first split
+    day train on the last common day, so a run of both regimes
+    (``ab-test --both``) runs the days up to and including it once.
 
     Each day's rows, arm A's before arm B's, are written into the
     scenario's log and tallied once; a shared training log is the sum of
     the two arms' tallies.
     """
+    return _ab_tests(cfg, (shared_log,), arm_b_features)[0]
+
+
+def _ab_tests(cfg: ScenarioConfig, regimes, arm_b_features=("x1", "x2")) -> list:
+    """:func:`scenario_ab_test` for each ``shared_log`` of ``regimes``: the days up to
+    and including the first split day run once, and each regime but the last
+    continues in a copy of their columns."""
     if not 1 <= cfg.ab_start_day < cfg.days:
         raise ValueError("ab_start_day must lie in [1, days)")
     if cfg.samples_per_day < 2:
         raise ValueError("samples_per_day must be at least 2 to split each A/B day between arms A and B")
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    n = cfg.samples_per_day
-    columns = _empty_columns(gt, cfg.days * n, with_arm=True)
+    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, with_arm=True)
     common_reports: list[DayReport] = []
-    policy = uniform_policy(cfg.spec)
-    trained_on = None
+    counts = None
     for day in range(cfg.ab_start_day):
-        if day >= 1:
-            model = _daily_model(counts, ("x1",), cfg)
-            policy = epsilon_greedy(model, cfg.epsilon, cfg.spec)
-            trained_on = model.training_day_range
-        _, report, counts = run_day(
-            gt, policy, n, day, DayStream(cfg.seed, day, 0),
-            model_trained_on=trained_on, arm="", out=_rows(columns, day * n, (day + 1) * n),
-        )
+        [(report, counts)] = _retrain_day(cfg, gt, columns, day, [("", ("x1",), 0, counts)])
         common_reports.append(report)
-    arm_reports: dict[str, list[DayReport]] = {"A": [], "B": []}
-    train_a = train_b = counts
-    n_a = n // 2
-    for day in range(cfg.ab_start_day, cfg.days):
-        model_a = _daily_model(train_a, ("x1",), cfg)
-        model_b = _daily_model(train_b, tuple(arm_b_features), cfg)
-        policy_a = epsilon_greedy(model_a, cfg.epsilon, cfg.spec)
-        policy_b = epsilon_greedy(model_b, cfg.epsilon, cfg.spec)
-        start, split, stop = day * n, day * n + n_a, (day + 1) * n
-        _, report_a, train_a = run_day(
-            gt, policy_a, n_a, day, DayStream(cfg.seed, day, 1),
-            model_trained_on=model_a.training_day_range, arm="A", out=_rows(columns, start, split),
-        )
-        _, report_b, train_b = run_day(
-            gt, policy_b, n - n_a, day, DayStream(cfg.seed, day, 2),
-            model_trained_on=model_b.training_day_range, arm="B", out=_rows(columns, split, stop),
-        )
-        arm_reports["A"].append(report_a)
-        arm_reports["B"].append(report_b)
-        if shared_log:
-            train_a = train_b = sum_tallies([train_a, train_b])
-    return ABResult(
-        gt=gt,
-        shared_log=shared_log,
-        common_reports=common_reports,
-        arm_reports=arm_reports,
-        log=Log._prevalidated(**dict(zip(LOG_COLUMNS, columns))),
-    )
+    arms = lambda train_a, train_b: [("A", ("x1",), 1, train_a), ("B", arm_b_features, 2, train_b)]
+    first = _retrain_day(cfg, gt, columns, cfg.ab_start_day, arms(counts, counts))
+    results = []
+    for i, shared_log in enumerate(regimes):
+        cols = columns if i == len(regimes) - 1 else tuple(None if c is None else c.copy() for c in columns)
+        (report_a, train_a), (report_b, train_b) = first
+        arm_reports = {"A": [report_a], "B": [report_b]}
+        for day in range(cfg.ab_start_day + 1, cfg.days):
+            if shared_log:
+                train_a = train_b = sum_tallies([train_a, train_b])
+            (report_a, train_a), (report_b, train_b) = _retrain_day(cfg, gt, cols, day, arms(train_a, train_b))
+            arm_reports["A"].append(report_a)
+            arm_reports["B"].append(report_b)
+        log = Log._prevalidated(**dict(zip(LOG_COLUMNS, cols)))
+        results.append(ABResult(gt, shared_log, list(common_reports), arm_reports, log))
+    return results
 
 
 def scenario_click_sale(

@@ -13,8 +13,9 @@ from multiprocessing import Pool
 
 import pytest
 
-from confoundsim import ScenarioConfig, scenario_ab_test, scenario_feature_engineering
+from confoundsim import ScenarioConfig, scenario_feature_engineering
 from confoundsim.fixtures import FIXTURE_SEEDS
+from confoundsim.scenarios import _ab_tests
 
 # Worker processes for the seed sweeps: one per CPU, since each is CPU-bound.
 POOL_WORKERS = os.cpu_count() or 1
@@ -24,8 +25,8 @@ def _sweep_one(seed: int) -> dict:
     cfg = ScenarioConfig(seed=seed)
     fe = scenario_feature_engineering(cfg)
     blind = scenario_feature_engineering(cfg, day2_features=("x1",))
-    shared = scenario_ab_test(cfg, shared_log=True)
-    separate = scenario_ab_test(cfg, shared_log=False)
+    # Both A/B regimes share their days up to and including the first split day.
+    shared, separate = _ab_tests(cfg, (True, False))
     return {
         "seed": seed,
         "fe": list(fe.reports),

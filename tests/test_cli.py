@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import confoundsim.scenarios
 from confoundsim import CategoricalSpec, make_default_ground_truth
 from confoundsim.cli import COMPARISON_COLUMNS, REPORT_COLUMNS, _build_parser, main
 
@@ -185,6 +186,22 @@ class TestABTest:
         assert "A/B" in err and "samples_per_day" in err
         assert not (tmp_path / "ab_test").exists()
 
+    @pytest.mark.parametrize("flag, expected", [("--both", 16), ("--shared-log", 10)])
+    def test_run_day_calls(self, capsys, tmp_path, monkeypatch, flag, expected):
+        """Two common days and the first split day's two arms run once; each
+        regime then runs three more split days of two arms."""
+        calls = []
+        real = confoundsim.scenarios.run_day
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(confoundsim.scenarios, "run_day", counting)
+        code, _, _ = run(capsys, "ab-test", flag, "--out", str(tmp_path), *SMALL)
+        assert code == 0
+        assert len(calls) == expected
+
 
 class TestClickSale:
     def test_comparison_table(self, capsys, tmp_path):
@@ -311,6 +328,15 @@ class TestDagCheck:
         )
         assert code == 2
         assert "cycle" in err
+
+    @pytest.mark.parametrize("graph, adjust", [(AWARE_GRAPH, "x1,x2,a"), ("u -> a; u -> c", "u,c")])
+    def test_adjusting_on_treatment_or_outcome_is_a_usage_error(self, capsys, graph, adjust):
+        code, out, err = run(
+            capsys, "dag-check", graph, "--treatment", "a", "--outcome", "c", "--adjust", adjust
+        )
+        assert code == 2
+        assert "adjustment set must exclude treatment and outcome" in err
+        assert out == ""
 
     def test_unknown_node_is_a_usage_error(self, capsys):
         code, _, err = run(

@@ -1,19 +1,26 @@
-"""Smoke test of the fixture seed-scan tool, ``tools/scan_seeds.py``."""
+"""Smoke tests of the fixture seed-scan tool, ``tools/scan_seeds.py``."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-from confoundsim.fixtures import TWO_DECISION_SEEDS
+from confoundsim.fixtures import FIXTURE_SEEDS, TWO_DECISION_SEEDS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "scan_seeds.py"
 
 
-def test_frozen_two_decision_seed_passes_its_predicate():
-    seed = TWO_DECISION_SEEDS[0]
+def check(predicate: str, seed: int):
     done = subprocess.run(
-        [sys.executable, str(TOOL), "two-decision", "--check", str(seed)],
+        [sys.executable, str(TOOL), predicate, "--check", str(seed)],
         capture_output=True, text=True, check=False,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(seed), "True"]
+
+
+def test_frozen_two_decision_seed_passes_its_predicate():
+    check("two-decision", TWO_DECISION_SEEDS[0])
+
+
+def test_frozen_day_loop_seed_passes_its_predicate():
+    check("day-loop", FIXTURE_SEEDS[0])

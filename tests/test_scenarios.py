@@ -40,7 +40,7 @@ from confoundsim.fixtures import (
     TWO_DECISION_SPEC,
 )
 from confoundsim.policy import greedy_policy
-from confoundsim.scenarios import LOG_COLUMNS, _day_tables, _empty_columns, _simulate_chunk
+from confoundsim.scenarios import LOG_COLUMNS, _ab_tests, _day_tables, _empty_columns, _simulate_chunk
 from conftest import all_reports, ndjson_text
 from oracles import inverse_cdf, simulate_chunk_reference
 
@@ -518,6 +518,32 @@ class TestABTest:
         nbytes = sum(col.nbytes for col in columns if col is not None)
         assert nbytes == 6 * 400_000 * 26
         assert peak <= 1.35 * nbytes, peak / nbytes
+
+
+class TestABRegimeSharing:
+    """``_ab_tests`` runs the days both A/B regimes share once; separate
+    ``scenario_ab_test`` calls, one per regime, are the oracle route."""
+
+    @pytest.mark.parametrize("regimes", [(True, False), (False, True)])
+    @pytest.mark.parametrize("seed", FIXTURE_SEEDS[:3])
+    @pytest.mark.parametrize(
+        "ab_start_day, arm_b_features", [(2, ("x1", "x2")), (5, ("x1", "x2")), (2, ("x1",))]
+    )
+    def test_sharing_equals_rerunning(self, regimes, seed, ab_start_day, arm_b_features):
+        cfg = ScenarioConfig(seed=seed, samples_per_day=5_001, ab_start_day=ab_start_day)
+        together = _ab_tests(cfg, regimes, arm_b_features)
+        assert [res.shared_log for res in together] == list(regimes)
+        for res in together:
+            alone = scenario_ab_test(cfg, shared_log=res.shared_log, arm_b_features=arm_b_features)
+            assert res.common_reports == alone.common_reports
+            assert res.arm_reports == alone.arm_reports
+            assert res.reports == alone.reports
+            for name in LOG_COLUMNS:
+                ours, theirs = getattr(res.log, name), getattr(alone.log, name)
+                assert (ours is None) == (theirs is None), name
+                if ours is not None:
+                    assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        assert not np.shares_memory(together[0].log.x1, together[1].log.x1)
 
 
 class TestClickSale:

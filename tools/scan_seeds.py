@@ -32,6 +32,7 @@ from confoundsim.fixtures import (  # noqa: E402
 )
 from confoundsim.scenarios import (  # noqa: E402
     ScenarioConfig,
+    _ab_tests,
     scenario_ab_test,
     scenario_click_sale,
     scenario_feature_engineering,
@@ -76,8 +77,7 @@ def day_loop_seed_ok(seed: int) -> bool:
     post = [r.expected_ctr for r in blind.reports if r.day >= 2]
     if max(post) - min(post) > RECOVERY_MARGIN:
         return False
-    shared = scenario_ab_test(cfg, shared_log=True)
-    separate = scenario_ab_test(cfg, shared_log=False)
+    shared, separate = _ab_tests(cfg, (True, False))
     shared_a = [r.expected_ctr for r in shared.arm_reports["A"]]
     separate_a = [r.expected_ctr for r in separate.arm_reports["A"]]
     day1 = separate.common_reports[1].expected_ctr
