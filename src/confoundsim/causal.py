@@ -254,15 +254,16 @@ def backdoor_admissible(g: Dag, treatment: str, outcome: str, zs=()) -> bool:
 
     ``zs`` must contain no descendant of the treatment, and must d-separate
     treatment from outcome in the graph with the treatment's outgoing edges
-    removed (equivalently: block every backdoor path).
+    removed (equivalently: block every backdoor path).  A ``zs`` that holds
+    the treatment or the outcome raises ``ValueError`` before any other check.
     """
     xs, ys, zset = _validate_query(g, [treatment], [outcome], zs)
     if treatment == outcome:
         raise ValueError("treatment and outcome must differ")
-    if zset & g.descendants(treatment):
-        return False
     if outcome in zset or treatment in zset:
         raise ValueError("adjustment set must exclude treatment and outcome")
+    if zset & g.descendants(treatment):
+        return False
     return d_separated(g.drop_outgoing([treatment]), xs, ys, zset)
 
 
@@ -295,26 +296,18 @@ class CovModel:
             raise ValueError("rows of p_x2_given_x1 must be probability vectors")
 
 
-def fit_cov_model(log: Log, spec: CategoricalSpec, alpha: float = 0.5) -> CovModel:
+def fit_cov_model(log: Log, spec: CategoricalSpec) -> CovModel:
     """Estimate ``p(x2 | x1)`` from a log slice by smoothed counting.
 
-    ``alpha`` is an additive pseudo-count per cell (default 0.5); with
-    ``alpha=0`` the estimate is the plain empirical row frequency.  Rows
-    with no observations fall back to uniform.
+    Every cell gets a fixed pseudo-count of 0.5, so a row with no
+    observations comes out uniform.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     if len(log) == 0:
         raise ValueError("cannot fit a covariate model on an empty log slice")
     flat = np.asarray(log.x1, dtype=np.int64) * spec.k2 + np.asarray(log.x2, dtype=np.int64)
     counts = np.bincount(flat, minlength=spec.k1 * spec.k2).reshape(spec.k1, spec.k2)
-    smoothed = counts + alpha
-    totals = smoothed.sum(axis=1, keepdims=True)
-    probs = np.where(totals > 0, smoothed / np.where(totals == 0, 1.0, totals), 1.0 / spec.k2)
-    empty = counts.sum(axis=1) == 0
-    if alpha == 0:
-        probs[empty] = 1.0 / spec.k2
-    return CovModel(p_x2_given_x1=probs, counts=counts)
+    smoothed = counts + 0.5
+    return CovModel(p_x2_given_x1=smoothed / smoothed.sum(axis=1, keepdims=True), counts=counts)
 
 
 @dataclass(frozen=True)

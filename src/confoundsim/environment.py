@@ -61,8 +61,8 @@ class GroundTruth:
         ``(k1, k2, n_actions)`` or ``(k1, k2, n_actions, n_decisions)``.
     sale_logit : ndarray or None
         Optional ``(k1, k2, n_actions)`` post-click sale mechanism.
-    seed, min_gap, gap : metadata recorded by the default constructor so a
-        serialized environment replays exactly.
+    seed, min_gap, gap : metadata recorded by the default constructor; they
+        enter the environment's fingerprint.
     """
 
     spec: CategoricalSpec
@@ -116,30 +116,9 @@ class GroundTruth:
             "gap": self.gap,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GroundTruth":
-        sale = payload.get("sale_logit")
-        return cls(
-            spec=CategoricalSpec.from_dict(payload["spec"]),
-            p_x1=np.asarray(payload["p_x1"], dtype=np.float64),
-            p_x2_given_x1=np.asarray(payload["p_x2_given_x1"], dtype=np.float64),
-            click_logit=np.asarray(payload["click_logit"], dtype=np.float64),
-            sale_logit=None if sale is None else np.asarray(sale, dtype=np.float64),
-            seed=payload.get("seed"),
-            min_gap=payload.get("min_gap"),
-            gap=payload.get("gap"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        return cls.from_dict(json.loads(text))
-
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical JSON serialization."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical JSON of :meth:`to_dict`, keys sorted."""
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -367,4 +346,4 @@ def oracle_policy(gt: GroundTruth, visibility) -> Policy:
         best = np.full((spec.k1, spec.k2), np.argmax(score))
     else:
         raise ValueError(f"visibility must be a canonical subset of ('x1', 'x2'), got {vis!r}")
-    return greedy_policy(spec, best, vis, "oracle")
+    return greedy_policy(spec, best, vis)

@@ -108,15 +108,6 @@ class CategoricalSpec:
             "n_decisions": None if self.n_decisions is None else int(self.n_decisions),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CategoricalSpec":
-        return cls(
-            k1=payload["k1"],
-            k2=payload["k2"],
-            n_actions=payload["n_actions"],
-            n_decisions=payload.get("n_decisions"),
-        )
-
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -144,21 +135,6 @@ class FeatureSpec:
     @property
     def factors(self) -> tuple:
         return self.included + self.action_factors
-
-    def to_dict(self) -> dict:
-        return {
-            "included": list(self.included),
-            "action_factors": list(self.action_factors),
-            "spec": self.spec.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureSpec":
-        return cls(
-            included=tuple(payload["included"]),
-            action_factors=tuple(payload["action_factors"]),
-            spec=CategoricalSpec.from_dict(payload["spec"]),
-        )
 
 
 def context_count(included, spec: CategoricalSpec) -> int:

@@ -98,34 +98,6 @@ class FittedModel:
             if np.any(self.successes < 0) or np.any(self.successes > self.trials):
                 raise ValueError("cell counts must satisfy 0 <= successes <= trials")
 
-    def predict(self, x1, x2, a, d=None):
-        return predict(self, x1, x2, a, d)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "feature_spec": self.feature_spec.to_dict(),
-            "beta": self.beta.tolist(),
-            "target": self.target,
-            "training_day_range": list(self.training_day_range),
-            "n_train": int(self.n_train),
-        }
-        if self.trials is not None:
-            payload["trials"] = self.trials.tolist()
-            payload["successes"] = self.successes.tolist()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FittedModel":
-        return cls(
-            feature_spec=FeatureSpec.from_dict(payload["feature_spec"]),
-            beta=np.asarray(payload["beta"], dtype=np.float64),
-            target=payload["target"],
-            training_day_range=tuple(payload["training_day_range"]),
-            n_train=payload["n_train"],
-            trials=payload.get("trials"),
-            successes=payload.get("successes"),
-        )
-
 
 class Tally(NamedTuple):
     """Integer cell counts of a log over the full ``(x1, x2, a[, d])`` grid.
@@ -204,7 +176,6 @@ def fit(
     log: Log,
     feature_spec: FeatureSpec,
     target: str = TARGET_CLICK,
-    pseudo_count: float = 0.0,
 ) -> FittedModel:
     """Exact maximum-likelihood fit on a log slice: :func:`fit_counts` of its :func:`tally`.
 
@@ -216,32 +187,29 @@ def fit(
         Cross-feature layout; covariates outside ``included`` are ignored.
     target : str
         ``"click"`` or ``"sale_given_click"``.
-    pseudo_count : float
-        Optional additive smoothing: cell rate ``(k + a) / (n + 2a)``.
-        The default 0 is the plain MLE.
 
     Returns
     -------
     FittedModel
-        Carries the per-cell ``trials`` and ``successes`` it was fit on.
+        Each visited cell's coefficient is the log-odds of its rate ``k / n``
+        (the plain MLE, no smoothing), clipped to ``+-LOGIT_CAP``.  Carries
+        the per-cell ``trials`` and ``successes`` it was fit on.
     """
-    return fit_counts(feature_spec, tally(log, feature_spec.spec), target, pseudo_count)
+    return fit_counts(feature_spec, tally(log, feature_spec.spec), target)
 
 
 def fit_counts(
     feature_spec: FeatureSpec,
     counts: Tally,
     target: str = TARGET_CLICK,
-    pseudo_count: float = 0.0,
 ) -> FittedModel:
     """Exact maximum-likelihood fit on a :class:`Tally`.
 
-    Sums out the factors ``feature_spec`` does not see, then takes each
-    cell's log-odds.  Click models count impressions and clicks, sale
-    models clicks and clicked sales.  Arguments are as for :func:`fit`.
+    Sums out the factors ``feature_spec`` does not see, then takes the
+    log-odds of each visited cell's rate ``successes / trials``.  Click
+    models count impressions and clicks, sale models clicks and clicked
+    sales.  Arguments are as for :func:`fit`.
     """
-    if pseudo_count < 0:
-        raise ValueError("pseudo_count must be nonnegative")
     if not counts.impressions.any():
         raise ValueError("cannot fit on an empty log slice")
     if target == TARGET_CLICK:
@@ -266,7 +234,7 @@ def fit_counts(
     k = successes.astype(np.float64)
     beta = np.zeros(len(n), dtype=np.float64)
     visited = n > 0
-    p = (k[visited] + pseudo_count) / (n[visited] + 2.0 * pseudo_count)
+    p = k[visited] / n[visited]
     with np.errstate(divide="ignore"):
         beta[visited] = np.clip(np.log(p) - np.log1p(-p), -LOGIT_CAP, LOGIT_CAP)
     return FittedModel(

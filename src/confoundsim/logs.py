@@ -101,10 +101,6 @@ class Log:
     def __len__(self) -> int:
         return len(self.day)
 
-    @property
-    def days(self) -> np.ndarray:
-        return np.unique(self.day)
-
     def _take(self, mask: np.ndarray) -> "Log":
         take = lambda col: None if col is None else col[mask]
         return Log(

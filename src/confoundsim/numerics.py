@@ -1,6 +1,8 @@
-"""Shared numeric helpers: capped sigmoid, softmax, guide-table draws, tolerances."""
+"""Shared numeric helpers: capped sigmoid, softmax, guide-table draws, tolerances, type checks."""
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +36,15 @@ def sigmoid(logit):
     """
     z = np.clip(logit, -LOGIT_CAP, LOGIT_CAP)
     return 1.0 / (1.0 + np.exp(-z))
+
+
+# bool is an int, so True would pass as a count or a rate of 1.
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def softmax_rows(logits):

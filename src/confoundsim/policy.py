@@ -41,17 +41,11 @@ class Policy:
     visibility : tuple
         Covariates the table may depend on; the table must be constant
         along every covariate not listed.
-    epsilon : float or None
-        Exploration rate for epsilon-greedy policies, else ``None``.
-    source : str or None
-        Free-form provenance note (e.g. which model the policy greedifies).
     """
 
     spec: CategoricalSpec
     probs: np.ndarray
     visibility: tuple
-    epsilon: float | None = None
-    source: str | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -74,33 +68,9 @@ class Policy:
         ):
             raise ValueError("policy blind to x1 must not vary with x1")
 
-    @property
-    def joint(self) -> bool:
-        """True when the policy scores joint action/decision cells."""
-        return self.probs.ndim == 4
-
     def cell_probs(self) -> np.ndarray:
         """Probabilities flattened to ``(k1, k2, action_cells)``."""
         return self.probs.reshape(self.spec.k1, self.spec.k2, -1)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "probs": self.probs.tolist(),
-            "visibility": list(self.visibility),
-            "epsilon": self.epsilon,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Policy":
-        return cls(
-            spec=CategoricalSpec.from_dict(payload["spec"]),
-            probs=np.asarray(payload["probs"], dtype=np.float64),
-            visibility=tuple(payload["visibility"]),
-            epsilon=payload.get("epsilon"),
-            source=payload.get("source"),
-        )
 
 
 def uniform_policy(spec: CategoricalSpec) -> Policy:
@@ -109,25 +79,22 @@ def uniform_policy(spec: CategoricalSpec) -> Policy:
         spec=spec,
         probs=np.full(spec.cell_shape, 1.0 / spec.action_cells),
         visibility=(),
-        epsilon=None,
-        source="uniform",
     )
 
 
-def greedy_policy(spec: CategoricalSpec, best, visibility, source: str, epsilon: float | None = None) -> Policy:
+def greedy_policy(spec: CategoricalSpec, best, visibility, epsilon: float = 0.0) -> Policy:
     """Policy favouring one action cell per context.
 
     ``best`` is a ``(k1, k2)`` array of flat action-cell indices.  Every
     cell gets ``epsilon / cells`` and each context's best cell a further
-    ``1 - epsilon``; with ``epsilon`` None the policy is deterministic.
+    ``1 - epsilon``; at the default ``epsilon`` 0 the policy is deterministic.
     """
-    explore = 0.0 if epsilon is None else epsilon
     cells = spec.action_cells
-    probs = np.full((spec.k1, spec.k2, cells), explore / cells)
+    probs = np.full((spec.k1, spec.k2, cells), epsilon / cells)
     i, j = np.indices((spec.k1, spec.k2), sparse=True)
-    probs[i, j, best] += 1.0 - explore
+    probs[i, j, best] += 1.0 - epsilon
     return Policy(
-        spec=spec, probs=probs.reshape(spec.cell_shape), visibility=visibility, epsilon=epsilon, source=source
+        spec=spec, probs=probs.reshape(spec.cell_shape), visibility=visibility
     )
 
 
@@ -143,7 +110,7 @@ def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) ->
     if spec != model.feature_spec.spec:
         raise ValueError("policy spec does not match the model's spec")
     best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)
-    return greedy_policy(spec, best, model.feature_spec.included, f"epsilon_greedy({model.target})", epsilon)
+    return greedy_policy(spec, best, model.feature_spec.included, epsilon)
 
 
 @dataclass
@@ -197,6 +164,4 @@ def to_joint(params: FactoredPolicyParams) -> Policy:
         spec=params.spec,
         probs=probs,
         visibility=_covariate_union(params.action_context, params.decision_context),
-        epsilon=None,
-        source="factored_softmax",
     )

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import _draw, _guide, softmax_rows
+from .numerics import _draw, _guide, _is_count, _is_real, softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -44,15 +43,6 @@ __all__ = [
 ]
 
 BASELINES = ("running-mean", "none")
-
-
-# bool is an int, so True would pass as a count or a rate of 1.
-def _is_count(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from .glm import (
     sum_tallies,
 )
 from .logs import ARM_CODES, Log
-from .numerics import GUIDE_BUCKETS, _draw, _guide, sigmoid
+from .numerics import GUIDE_BUCKETS, _draw, _guide, _is_count, _is_real, sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
 from .streams import UNIFORMS_PER_ROW, DayStream
@@ -88,16 +87,18 @@ class ScenarioConfig:
     days: int = 6
 
     def __post_init__(self):
-        if self.samples_per_day < 1:
-            raise ValueError("samples_per_day must be positive")
-        if not 0.0 <= self.epsilon <= 1.0:
+        if not _is_count(self.samples_per_day) or self.samples_per_day < 1:
+            raise ValueError("samples_per_day must be a positive integer")
+        if not _is_real(self.epsilon) or not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.days < 1:
-            raise ValueError("days must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0.0 <= self.min_gap <= 0.2:
+        if not _is_count(self.days) or self.days < 1:
+            raise ValueError("days must be a positive integer")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not _is_real(self.min_gap) or not 0.0 <= self.min_gap <= 0.2:
             raise ValueError("min_gap must lie in [0, 0.2]")
+        if not _is_count(self.ab_start_day):
+            raise ValueError("ab_start_day must be an integer")
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _worker_count(workers, chunks: int) -> int:
     one per CPU this process may run on, capped at the chunk count."""
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    elif isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+    elif not _is_count(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer or None, got {workers!r}")
     return min(int(workers), chunks)
 
@@ -536,16 +537,16 @@ def scenario_click_sale(
         gt, uniform_policy(cfg.spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
 
-    def product_policy(sale_feats, click_feats, source):
+    def product_policy(sale_feats, click_feats):
         sale_model = fit_counts(FeatureSpec(sale_feats, ("a",), cfg.spec), counts, TARGET_SALE_GIVEN_CLICK)
         click_model = fit_counts(FeatureSpec(click_feats, ("a",), cfg.spec), counts, TARGET_CLICK)
         best = np.argmax(prediction_table(sale_model) * prediction_table(click_model), axis=-1)
-        return greedy_policy(cfg.spec, best, _covariate_union(sale_feats, click_feats), source)
+        return greedy_policy(cfg.spec, best, _covariate_union(sale_feats, click_feats))
 
-    mismatched = product_policy(x_prime, x_dprime, "product(mismatched)")
-    full = product_policy(("x1", "x2"), ("x1", "x2"), "product(full)")
+    mismatched = product_policy(x_prime, x_dprime)
+    full = product_policy(("x1", "x2"), ("x1", "x2"))
     oracle_best = np.argmax(sigmoid(gt.sale_logit) * sigmoid(gt.click_logit), axis=-1)
-    oracle = greedy_policy(cfg.spec, oracle_best, ("x1", "x2"), "product(oracle)")
+    oracle = greedy_policy(cfg.spec, oracle_best, ("x1", "x2"))
     entries = [
         ComparisonEntry(
             variant="mismatched",
@@ -623,7 +624,7 @@ def scenario_two_decision(
     best_a = np.argmax(prediction_table(action_model)[:, :, :, 0], axis=-1)
     best_d = np.argmax(prediction_table(decision_model)[:, :, 0, :], axis=-1)
     independent_pol = greedy_policy(
-        spec, best_a * spec.n_decisions + best_d, _covariate_union(x_prime, x_dprime), "independent_factored"
+        spec, best_a * spec.n_decisions + best_d, _covariate_union(x_prime, x_dprime)
     )
 
     init = FactoredPolicyParams(

@@ -50,7 +50,6 @@ def capped_sigmoid(logit: float) -> float:
 def newton_cell_logit(
     successes: float,
     trials: float,
-    pseudo_count: float = 0.0,
     cap: float = LOGIT_CAP,
     tol: float = 1e-13,
     max_iter: int = 200,
@@ -58,13 +57,12 @@ def newton_cell_logit(
     """Single-cell Bernoulli MLE logit via clipped Newton iteration.
 
     Maximizes ``k log sigma(b) + (n - k) log(1 - sigma(b))`` with
-    ``k = successes + pseudo_count`` and ``n = trials + 2 pseudo_count``.
+    ``k = successes`` and ``n = trials``.
     Boundary cells (k = 0 or k = n) walk monotonically to the cap, which
     is exactly the library's clipping convention; unvisited cells return
     zero.
     """
-    k = successes + pseudo_count
-    n = trials + 2.0 * pseudo_count
+    k, n = successes, trials
     if n == 0:
         return 0.0
     beta = 0.0
@@ -142,11 +140,11 @@ def group_outcomes(log, included, action_factors, target="click") -> dict:
     return groups
 
 
-def newton_fit(log, included, action_factors, target="click", pseudo_count=0.0) -> dict:
+def newton_fit(log, included, action_factors, target="click") -> dict:
     """Per-cell Newton MLE over raw-tuple groups: key tuple -> logit."""
     groups = group_outcomes(log, included, action_factors, target)
     return {
-        key: newton_cell_logit(sum(bits), len(bits), pseudo_count=pseudo_count)
+        key: newton_cell_logit(sum(bits), len(bits))
         for key, bits in groups.items()
     }
 
@@ -380,7 +378,7 @@ def sample_action(policy, x1: int, x2: int, rng: np.random.Generator, size=None)
     prop = flat[idx]
     if size is None:
         idx, prop = int(idx), float(prop)
-    if policy.joint:
+    if policy.spec.n_decisions is not None:
         a, d = np.divmod(idx, policy.spec.n_decisions)
         if size is None:
             return int(a), int(d), prop
@@ -622,11 +620,9 @@ def _training_arrays(log, feature_spec, target):
     return np.asarray(idx), outcome
 
 
-def fit_reference(log, feature_spec, target=TARGET_CLICK, pseudo_count=0.0):
+def fit_reference(log, feature_spec, target=TARGET_CLICK):
     """Saturated MLE by the row route: encode every training row, then
     ``bincount`` the trials and the float-weighted successes per cell."""
-    if pseudo_count < 0:
-        raise ValueError("pseudo_count must be nonnegative")
     idx, outcome = _training_arrays(log, feature_spec, target)
     size = dim(feature_spec)
     trials = np.bincount(idx, minlength=size)
@@ -634,7 +630,7 @@ def fit_reference(log, feature_spec, target=TARGET_CLICK, pseudo_count=0.0):
     k = np.bincount(idx, weights=outcome, minlength=size)
     beta = np.zeros(size, dtype=np.float64)
     visited = n > 0
-    p = (k[visited] + pseudo_count) / (n[visited] + 2.0 * pseudo_count)
+    p = k[visited] / n[visited]
     with np.errstate(divide="ignore"):
         beta[visited] = np.clip(np.log(p) - np.log1p(-p), -LOGIT_CAP, LOGIT_CAP)
     return FittedModel(

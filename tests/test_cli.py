@@ -329,7 +329,9 @@ class TestDagCheck:
         assert code == 2
         assert "cycle" in err
 
-    @pytest.mark.parametrize("graph, adjust", [(AWARE_GRAPH, "x1,x2,a"), ("u -> a; u -> c", "u,c")])
+    @pytest.mark.parametrize(
+        "graph, adjust", [(AWARE_GRAPH, "x1,x2,a"), ("u -> a; u -> c", "u,c"), (BASE_GRAPH, "x1,c")]
+    )
     def test_adjusting_on_treatment_or_outcome_is_a_usage_error(self, capsys, graph, adjust):
         code, out, err = run(
             capsys, "dag-check", graph, "--treatment", "a", "--outcome", "c", "--adjust", adjust

@@ -335,15 +335,6 @@ class TestSeparable:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        gt = make_default_ground_truth(SPEC, seed=0, min_gap=0.02, with_sales=True)
-        clone = GroundTruth.from_json(gt.to_json())
-        np.testing.assert_array_equal(clone.click_logit, gt.click_logit)
-        np.testing.assert_array_equal(clone.sale_logit, gt.sale_logit)
-        np.testing.assert_array_equal(clone.p_x1, gt.p_x1)
-        assert clone.seed == gt.seed
-        assert clone.gap == gt.gap
-
     def test_fingerprint_stable_and_distinct(self):
         a = make_default_ground_truth(SPEC, seed=0)
         b = make_default_ground_truth(SPEC, seed=0)

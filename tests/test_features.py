@@ -143,8 +143,3 @@ class TestContextHelpers:
         assert context_index(("x1", "x2"), SPEC_5_5_10, 3, 2) == 17
         assert context_index(("x2",), SPEC_5_5_10, 3, 2) == 2
         assert context_index((), SPEC_5_5_10, 3, 2) == 0
-
-    def test_serialization_round_trip(self):
-        fs = FeatureSpec(("x1", "x2"), ("a",), SPEC_5_5_10)
-        assert FeatureSpec.from_dict(fs.to_dict()) == fs
-        assert CategoricalSpec.from_dict(SPEC_5_5_10.to_dict()) == SPEC_5_5_10

@@ -80,7 +80,7 @@ class TestInvariants:
     def test_day_gaps_wider_than_int32_accepted(self):
         # A gap of 2**32 - 1 between int32 days wraps if subtracted.
         log = small_log(days=(-(2**31), -(2**31), 2**31 - 1))
-        assert list(log.days) == [-(2**31), 2**31 - 1]
+        assert list(np.unique(log.day)) == [-(2**31), 2**31 - 1]
         with pytest.raises(ValueError, match="nondecreasing day"):
             small_log(days=(2**31 - 1, -(2**31)))
 

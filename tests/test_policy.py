@@ -208,9 +208,3 @@ class TestPolicyInvariants:
         probs[:, 1, 1] = 1.0
         with pytest.raises(ValueError):
             Policy(spec=SMALL, probs=probs, visibility=("x1",))
-
-    def test_serialization_round_trip(self):
-        pol = uniform_policy(SMALL)
-        clone = Policy.from_dict(pol.to_dict())
-        np.testing.assert_array_equal(clone.probs, pol.probs)
-        assert clone.visibility == pol.visibility

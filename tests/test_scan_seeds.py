@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from confoundsim.fixtures import FIXTURE_SEEDS, TWO_DECISION_SEEDS
+from confoundsim.fixtures import CLICK_SALE_SEEDS, FIXTURE_SEEDS, SEPARABLE_SEEDS, TWO_DECISION_SEEDS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "scan_seeds.py"
 
@@ -24,3 +24,11 @@ def test_frozen_two_decision_seed_passes_its_predicate():
 
 def test_frozen_day_loop_seed_passes_its_predicate():
     check("day-loop", FIXTURE_SEEDS[0])
+
+
+def test_frozen_click_sale_seed_passes_its_predicate():
+    check("click-sale", CLICK_SALE_SEEDS[0])
+
+
+def test_frozen_separable_seed_passes_its_predicate():
+    check("separable", SEPARABLE_SEEDS[0])

@@ -57,6 +57,35 @@ def flat_truth():
     )
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples_per_day", True),
+            ("samples_per_day", 2000.5),
+            ("samples_per_day", 2000.0),
+            ("days", True),
+            ("days", 6.0),
+            ("seed", 1.5),
+            ("seed", False),
+            ("ab_start_day", 2.0),
+            ("ab_start_day", True),
+            ("epsilon", "a"),
+            ("epsilon", True),
+            ("epsilon", float("nan")),
+            ("min_gap", "a"),
+            ("min_gap", False),
+        ],
+    )
+    def test_rejects_bools_and_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = ScenarioConfig(samples_per_day=np.int64(100), days=np.int32(2), epsilon=np.float64(0.1))
+        assert (cfg.samples_per_day, cfg.days, cfg.epsilon) == (100, 2, 0.1)
+
+
 class TestRunDay:
     def test_uniform_on_flat_truth(self):
         gt = flat_truth()
@@ -187,7 +216,7 @@ def sampler_policy(spec, kind, epsilon, rng):
         probs /= probs.sum(axis=-1, keepdims=True)
         return Policy(spec, probs.reshape(spec.cell_shape), ("x1", "x2"))
     best = rng.integers(0, spec.action_cells, size=(spec.k1, spec.k2))
-    return greedy_policy(spec, best, ("x1", "x2"), kind, None if kind == "one-hot" else epsilon)
+    return greedy_policy(spec, best, ("x1", "x2"), 0.0 if kind == "one-hot" else epsilon)
 
 
 def simulate_chunk(gt, policy, u):
