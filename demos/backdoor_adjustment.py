@@ -32,7 +32,7 @@ true_model = FittedModel(
     FeatureSpec(("x1", "x2"), ("a",), spec), gt.click_logit.reshape(-1), "click", (0, 0), 0
 )
 
-log, _, _ = run_day(gt, epsilon_greedy(true_model, 0.05, spec), 200_000, 0, DayStream(0, 0))
+log, _, _ = run_day(gt, epsilon_greedy(true_model, 0.05), 200_000, 0, DayStream(0, 0))
 full = fit(log, FeatureSpec(("x1", "x2"), ("a",), spec))
 naive = fit(log, FeatureSpec(("x1",), ("a",), spec))
 cov = fit_cov_model(log, spec)

@@ -3,66 +3,28 @@
 The package models a categorical contextual-bandit environment with two
 covariates, saturated logistic models fit on daily logs, epsilon-greedy
 deployment, and the causal machinery (graph queries, backdoor adjustment,
-balancing scores, factored policy search) needed to diagnose and repair
-the feedback loops those pieces create.
+factored policy search) needed to diagnose and repair the feedback loops
+those pieces create.
 """
 
 from .causal import (
-    AdjustedEstimate,
-    CovModel,
-    Dag,
     backdoor_adjust,
     backdoor_admissible,
     backdoor_paths,
-    balancing_coarsen,
     base_click_dag,
     d_separated,
     fit_cov_model,
     format_path,
     parse_dag,
-    unblocked_backdoor_path,
 )
 from .environment import (
-    ConfoundingGapReport,
-    GroundTruth,
-    confounding_gap,
-    confounding_gap_report,
-    expected_policy_click_sale_rate,
-    expected_policy_ctr,
     make_default_ground_truth,
     make_separable_ground_truth,
     marginal_click_prob,
-    oracle_policy,
 )
-from .features import (
-    ACTION_FACTORS,
-    COVARIATE_FACTORS,
-    CategoricalSpec,
-    FeatureSpec,
-    context_count,
-    context_index,
-    dim,
-    encode,
-)
-from .glm import (
-    TARGET_CLICK,
-    TARGET_SALE_GIVEN_CLICK,
-    FittedModel,
-    fit,
-    fit_counts,
-    predict,
-    prediction_table,
-    tally,
-)
-from .logs import Log
-from .numerics import LOGIT_CAP, sigmoid, softmax_rows
-from .policy import (
-    FactoredPolicyParams,
-    Policy,
-    epsilon_greedy,
-    to_joint,
-    uniform_policy,
-)
+from .features import CategoricalSpec, FeatureSpec
+from .glm import FittedModel, fit, prediction_table
+from .policy import epsilon_greedy
 from .policy_search import (
     SearchConfig,
     estimate_gradient,
@@ -70,81 +32,39 @@ from .policy_search import (
     reinforce_optimize,
 )
 from .scenarios import (
-    ABResult,
-    CHUNK_ROWS,
-    ClickSaleResult,
-    ComparisonEntry,
-    DayReport,
     ScenarioConfig,
-    ScenarioResult,
-    TwoDecisionResult,
-    default_two_decision_search,
     run_day,
     scenario_ab_test,
     scenario_click_sale,
     scenario_feature_engineering,
     scenario_two_decision,
 )
-from .streams import UNIFORMS_PER_ROW, DayStream
+from .streams import DayStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABResult",
-    "ACTION_FACTORS",
-    "AdjustedEstimate",
-    "CHUNK_ROWS",
-    "COVARIATE_FACTORS",
     "CategoricalSpec",
-    "ClickSaleResult",
-    "ComparisonEntry",
-    "ConfoundingGapReport",
-    "CovModel",
-    "Dag",
-    "DayReport",
     "DayStream",
-    "FactoredPolicyParams",
     "FeatureSpec",
     "FittedModel",
-    "GroundTruth",
-    "LOGIT_CAP",
-    "Log",
-    "Policy",
     "ScenarioConfig",
-    "ScenarioResult",
     "SearchConfig",
-    "TARGET_CLICK",
-    "TARGET_SALE_GIVEN_CLICK",
-    "TwoDecisionResult",
-    "UNIFORMS_PER_ROW",
     "backdoor_adjust",
     "backdoor_admissible",
     "backdoor_paths",
-    "balancing_coarsen",
     "base_click_dag",
-    "confounding_gap",
-    "confounding_gap_report",
-    "context_count",
-    "context_index",
     "d_separated",
-    "default_two_decision_search",
-    "dim",
-    "encode",
     "epsilon_greedy",
     "estimate_gradient",
     "exact_objective",
-    "expected_policy_click_sale_rate",
-    "expected_policy_ctr",
     "fit",
-    "fit_counts",
     "fit_cov_model",
     "format_path",
     "make_default_ground_truth",
     "make_separable_ground_truth",
     "marginal_click_prob",
-    "oracle_policy",
     "parse_dag",
-    "predict",
     "prediction_table",
     "reinforce_optimize",
     "run_day",
@@ -152,10 +72,4 @@ __all__ = [
     "scenario_click_sale",
     "scenario_feature_engineering",
     "scenario_two_decision",
-    "sigmoid",
-    "softmax_rows",
-    "tally",
-    "to_joint",
-    "unblocked_backdoor_path",
-    "uniform_policy",
 ]

@@ -28,20 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import CategoricalSpec, encode
-from .glm import FittedModel
+from .glm import FittedModel, tally
 from .logs import Log
 from .numerics import sigmoid
-from .policy import Policy
 
 __all__ = [
     "AdjustedEstimate",
-    "BalancingPartition",
     "CovModel",
     "Dag",
     "backdoor_adjust",
     "backdoor_admissible",
     "backdoor_paths",
-    "balancing_coarsen",
     "base_click_dag",
     "d_separated",
     "fit_cov_model",
@@ -304,8 +301,7 @@ def fit_cov_model(log: Log, spec: CategoricalSpec) -> CovModel:
     """
     if len(log) == 0:
         raise ValueError("cannot fit a covariate model on an empty log slice")
-    flat = np.asarray(log.x1, dtype=np.int64) * spec.k2 + np.asarray(log.x2, dtype=np.int64)
-    counts = np.bincount(flat, minlength=spec.k1 * spec.k2).reshape(spec.k1, spec.k2)
+    counts = tally(log, spec).impressions.reshape(spec.k1, spec.k2, -1).sum(axis=-1)
     smoothed = counts + 0.5
     return CovModel(p_x2_given_x1=smoothed / smoothed.sum(axis=1, keepdims=True), counts=counts)
 
@@ -389,32 +385,3 @@ def backdoor_adjust(full_model: FittedModel, cov: CovModel, x1: int, a: int, d=N
         value=value, se=math.sqrt(within + max(between, 0.0)), support=support, gaps=gaps
     )
 
-
-@dataclass(frozen=True)
-class BalancingPartition:
-    """Partition of x2 states by identical logging-policy behaviour."""
-
-    x1: int
-    classes: tuple
-
-
-def balancing_coarsen(logging_policy: Policy, x1: int, atol: float = 1e-9) -> BalancingPartition:
-    """Group x2 states whose action distributions at ``x1`` coincide.
-
-    Two states land in the same class when the logging policy's action
-    distributions agree within ``atol`` elementwise.  Conditioning on the
-    class is then as good as conditioning on x2 itself for removing the
-    policy-induced dependence between x2 and the action.
-    """
-    rows = logging_policy.cell_probs()[x1]
-    classes: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for j in range(rows.shape[0]):
-        for cls, rep in zip(classes, reps):
-            if np.max(np.abs(rows[j] - rep)) <= atol:
-                cls.append(j)
-                break
-        else:
-            classes.append([j])
-            reps.append(rows[j])
-    return BalancingPartition(x1=int(x1), classes=tuple(tuple(c) for c in classes))

@@ -27,11 +27,8 @@ from .numerics import PROB_ATOL, sigmoid
 from .policy import Policy, greedy_policy
 
 __all__ = [
-    "ConfoundingGapReport",
-    "GapEntry",
     "GroundTruth",
     "confounding_gap",
-    "confounding_gap_report",
     "expected_policy_click_sale_rate",
     "expected_policy_ctr",
     "make_default_ground_truth",
@@ -121,23 +118,6 @@ class GroundTruth:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class GapEntry:
-    """Per-x1 confounding diagnosis."""
-
-    oracle_action: int
-    confounded_action: int
-    gap: float
-
-
-@dataclass(frozen=True)
-class ConfoundingGapReport:
-    """Confounding gap per x1 state; ``gap`` is the maximum entry."""
-
-    per_x1: tuple
-    gap: float
-
-
 def _click_cells(gt: GroundTruth) -> np.ndarray:
     """Click probabilities flattened to ``(k1, k2, action_cells)``."""
     sig = sigmoid(gt.click_logit)
@@ -153,8 +133,8 @@ def marginal_click_prob(gt: GroundTruth) -> np.ndarray:
     return np.einsum("ij,ijc->ic", gt.p_x2_given_x1, _click_cells(gt))
 
 
-def confounding_gap_report(gt: GroundTruth) -> ConfoundingGapReport:
-    """How much CTR a naive x1-only refit would give up per x1 state.
+def confounding_gap(gt: GroundTruth) -> float:
+    """How much CTR a naive x1-only refit would give up, at the worst x1 state.
 
     For each x1 the oracle action maximises the interventional CTR.  The
     confounded action maximises the naive conditional estimate
@@ -164,12 +144,12 @@ def confounding_gap_report(gt: GroundTruth) -> ConfoundingGapReport:
     epsilon-greedy logging mix as exploration shrinks), while cells the
     greedy policy never selects are reached only through uniform
     exploration and keep the unskewed ``p(x2 | x1)``.  Both actions are
-    evaluated under the true ``p(x2 | x1)``; the entry's gap is the CTR
+    evaluated under the true ``p(x2 | x1)``; the x1 state's gap is the CTR
     difference, zero when the two actions coincide.
     """
     cells = _click_cells(gt)
     marginal = marginal_click_prob(gt)
-    entries = []
+    gaps = []
     for i in range(gt.spec.k1):
         w = gt.p_x2_given_x1[i]
         greedy = np.argmax(cells[i], axis=1)
@@ -181,14 +161,8 @@ def confounding_gap_report(gt: GroundTruth) -> ConfoundingGapReport:
                 naive[cell] = float(w[mask] @ cells[i][mask, cell] / denom)
         a_star = int(np.argmax(marginal[i]))
         a_conf = int(np.argmax(naive))
-        entries.append(GapEntry(a_star, a_conf, float(marginal[i, a_star] - marginal[i, a_conf])))
-    gap = max(entry.gap for entry in entries)
-    return ConfoundingGapReport(per_x1=tuple(entries), gap=float(gap))
-
-
-def confounding_gap(gt: GroundTruth) -> float:
-    """Maximum per-x1 CTR gap; see :func:`confounding_gap_report`."""
-    return confounding_gap_report(gt).gap
+        gaps.append(float(marginal[i, a_star] - marginal[i, a_conf]))
+    return float(max(gaps))
 
 
 def make_default_ground_truth(

@@ -98,7 +98,7 @@ def greedy_policy(spec: CategoricalSpec, best, visibility, epsilon: float = 0.0)
     )
 
 
-def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) -> Policy:
+def epsilon_greedy(model: FittedModel, epsilon: float) -> Policy:
     """Epsilon-greedy policy on a fitted model's predictions.
 
     The argmax cell (lowest index on ties) receives mass
@@ -107,8 +107,7 @@ def epsilon_greedy(model: FittedModel, epsilon: float, spec: CategoricalSpec) ->
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if spec != model.feature_spec.spec:
-        raise ValueError("policy spec does not match the model's spec")
+    spec = model.feature_spec.spec
     best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)
     return greedy_policy(spec, best, model.feature_spec.included, epsilon)
 

@@ -344,8 +344,10 @@ def run_day(
         The tally is the day's cell counts, equal to ``glm.tally(log,
         gt.spec)``, counted by the chunks as they are drawn.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not _is_count(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not _is_count(day):
+        raise ValueError(f"day must be an integer, got {day!r}")
     chunk_rows = CHUNK_ROWS
     starts = range(0, n, chunk_rows)
     stripes = _worker_count(workers, len(starts))
@@ -422,7 +424,7 @@ def _retrain_day(cfg: ScenarioConfig, gt: GroundTruth, columns: tuple, day: int,
             policy, trained_on = uniform_policy(cfg.spec), None
         else:
             model = fit_counts(FeatureSpec(tuple(features), ("a",), cfg.spec), train, target=TARGET_CLICK)
-            policy, trained_on = epsilon_greedy(model, cfg.epsilon, cfg.spec), model.training_day_range
+            policy, trained_on = epsilon_greedy(model, cfg.epsilon), model.training_day_range
         _, report, counts = run_day(
             gt, policy, stop - start, day, DayStream(cfg.seed, day, substream),
             model_trained_on=trained_on, arm=arm, out=_rows(columns, start, stop),
@@ -617,7 +619,7 @@ def scenario_two_decision(
         gt, uniform_policy(spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
     )
     joint_model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
-    joint_pol = epsilon_greedy(joint_model, 0.0, spec)
+    joint_pol = epsilon_greedy(joint_model, 0.0)
 
     action_model = fit_counts(FeatureSpec(x_prime, ("a",), spec), counts, target=TARGET_CLICK)
     decision_model = fit_counts(FeatureSpec(x_dprime, ("d",), spec), counts, target=TARGET_CLICK)

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import _is_count
+
 __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 
 # Fixed per-row budget: x1, x2, action cell, click, sale, plus three spare
@@ -41,10 +43,10 @@ class DayStream:
     seed : int
         Run-level seed, nonnegative.
     day : int
-        Day index; distinct days get independent streams.
+        Day index, nonnegative; distinct days get independent streams.
     substream : int
-        Extra tag separating streams that share a (seed, day) pair, e.g.
-        concurrent A/B arms.
+        Nonnegative tag separating streams that share a (seed, day) pair,
+        e.g. concurrent A/B arms.
     """
 
     seed: int
@@ -52,8 +54,10 @@ class DayStream:
     substream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name in ("seed", "day", "substream"):
+            value = getattr(self, name)
+            if not _is_count(value) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
     @cached_property
     def _state(self) -> dict:

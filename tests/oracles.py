@@ -33,10 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confoundsim import TARGET_CLICK, TARGET_SALE_GIVEN_CLICK, FactoredPolicyParams, FittedModel, dim, encode
-from confoundsim.glm import prediction_table
+from confoundsim import FittedModel
+from confoundsim.features import dim, encode
+from confoundsim.glm import TARGET_CLICK, TARGET_SALE_GIVEN_CLICK, prediction_table
 from confoundsim.logs import ARM_LABELS
 from confoundsim.numerics import sigmoid, softmax_rows
+from confoundsim.policy import FactoredPolicyParams
 
 LOGIT_CAP = 15.0
 

@@ -28,7 +28,6 @@ import confoundsim.scenarios
 from confoundsim import (
     CategoricalSpec,
     DayStream,
-    FactoredPolicyParams,
     FeatureSpec,
     FittedModel,
     ScenarioConfig,
@@ -50,7 +49,6 @@ from confoundsim import (
     scenario_click_sale,
     scenario_feature_engineering,
     scenario_two_decision,
-    uniform_policy,
 )
 from confoundsim.cli import main
 from confoundsim.fixtures import (
@@ -62,6 +60,7 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
+from confoundsim.policy import FactoredPolicyParams, uniform_policy
 from conftest import POOL_WORKERS
 from oracles import (
     adjustment_support,
@@ -151,7 +150,7 @@ def _adjustment_probe(seed: int):
     true_model = FittedModel(
         FeatureSpec(("x1", "x2"), ("a",), spec), gt.click_logit.reshape(-1), "click", (0, 0), 0
     )
-    logger = epsilon_greedy(true_model, 0.05, spec)
+    logger = epsilon_greedy(true_model, 0.05)
     log, _, _ = run_day(gt, logger, 400_000, day=0, stream=DayStream(seed, 0))
     full = fit(log, FeatureSpec(("x1", "x2"), ("a",), spec))
     naive = fit(log, FeatureSpec(("x1",), ("a",), spec))
@@ -340,7 +339,7 @@ class TestCriterion5SaturatedIdentity:
         )
         logs = {
             "uniform": run_day(gt, uniform_policy(spec), 400_000, 0, DayStream(0, 0))[0],
-            "greedy": run_day(gt, epsilon_greedy(true_model, 0.05, spec), 400_000, 0,
+            "greedy": run_day(gt, epsilon_greedy(true_model, 0.05), 400_000, 0,
                               DayStream(1, 0))[0],
         }
         worst_prob = 0.0

@@ -8,17 +8,12 @@ import pytest
 
 from confoundsim import (
     CategoricalSpec,
-    CovModel,
-    Dag,
     DayStream,
     FeatureSpec,
     FittedModel,
-    Log,
-    Policy,
     backdoor_adjust,
     backdoor_admissible,
     backdoor_paths,
-    balancing_coarsen,
     base_click_dag,
     d_separated,
     epsilon_greedy,
@@ -27,14 +22,13 @@ from confoundsim import (
     format_path,
     make_default_ground_truth,
     marginal_click_prob,
-    oracle_policy,
     parse_dag,
-    predict,
     run_day,
-    sigmoid,
-    unblocked_backdoor_path,
-    uniform_policy,
 )
+from confoundsim.causal import CovModel, Dag, unblocked_backdoor_path
+from confoundsim.glm import predict
+from confoundsim.logs import Log
+from confoundsim.policy import uniform_policy
 from oracles import adjustment_support, conditionally_independent, dag_joint_table, subcell_tallies
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
@@ -264,6 +258,19 @@ class TestCovModel:
         with pytest.raises(ValueError):
             CovModel(p_x2_given_x1=np.array([[0.5, 0.5]]), counts=np.array([1, 1]))
 
+    @pytest.mark.parametrize(
+        "x1s, x2s, message",
+        [
+            ([0, 0, 0], [0, 1, 2], r"x2 out of range \[0, 2\)"),
+            ([0, 1, 2], [0, 0, 0], r"x1 out of range \[0, 2\)"),
+            ([0, 0], [0, -1], r"x2 out of range \[0, 2\)"),
+        ],
+    )
+    def test_out_of_range_covariates_rejected(self, x1s, x2s, message):
+        small = CategoricalSpec(k1=2, k2=2, n_actions=2)
+        with pytest.raises(ValueError, match=message):
+            fit_cov_model(context_log(x1s, x2s), small)
+
     def test_large_sample_concentration(self):
         gt = make_default_ground_truth(SPEC, seed=3)
         log, _, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(3, 1, 0))
@@ -405,71 +412,6 @@ class TestBackdoorAdjust:
                     assert est.se == pytest.approx(ref["se"], rel=1e-12)
 
 
-class TestBalancingCoarsen:
-    def test_covariate_blind_policy_is_one_class(self):
-        gt = make_default_ground_truth(SPEC, seed=0)
-        part = balancing_coarsen(oracle_policy(gt, ("x1",)), x1=2)
-        assert part.classes == (tuple(range(SPEC.k2)),)
-        assert part.x1 == 2
-
-    def test_distinct_rows_stay_singletons(self):
-        probs = np.zeros((2, 5, 5))
-        for j in range(5):
-            probs[:, j, j] = 1.0
-        pol = Policy(
-            spec=CategoricalSpec(k1=2, k2=5, n_actions=5),
-            probs=probs,
-            visibility=("x1", "x2"),
-        )
-        part = balancing_coarsen(pol, x1=0)
-        assert part.classes == ((0,), (1,), (2,), (3,), (4,))
-
-    def test_shared_argmax_classes_and_adjustment_equality(self):
-        """Classes {0,1} and {2,3,4} share action distributions, so the
-        class-conditional log estimate is free of selection skew: the
-        logging propensity cancels inside each class and the class-level
-        adjustment sum equals the raw-x2 adjustment sum.
-        """
-        spec = CategoricalSpec(k1=2, k2=5, n_actions=4)
-        eps = 0.2
-        probs = np.full((2, 5, 4), eps / 4)
-        for j, arg in enumerate([2, 2, 0, 0, 0]):
-            probs[:, j, arg] += 1 - eps
-        pol = Policy(spec=spec, probs=probs, visibility=("x1", "x2"))
-        part = balancing_coarsen(pol, x1=0)
-        assert part.classes == ((0, 1), (2, 3, 4))
-
-        rng = np.random.default_rng(7)
-        w = rng.dirichlet(np.ones(5))
-        cell = sigmoid(rng.uniform(-2, 2, size=(5, 4)))
-        for a in range(4):
-            raw = float(w @ cell[:, a])
-            coarse = 0.0
-            for cls in part.classes:
-                cls = list(cls)
-                pi = probs[0, cls, a]
-                mass = w[cls] @ pi
-                naive_class = float(w[cls] @ (cell[cls, a] * pi) / mass)
-                coarse += w[cls].sum() * naive_class
-            assert coarse == pytest.approx(raw, abs=1e-9)
-
-    def test_atol_merges_near_equal_rows(self):
-        spec = CategoricalSpec(k1=2, k2=2, n_actions=2)
-        row = np.array([[0.3, 0.7], [0.3 + 1e-12, 0.7 - 1e-12]])
-        pol = Policy(spec=spec, probs=np.stack([row, row]), visibility=("x1", "x2"))
-        assert balancing_coarsen(pol, x1=0).classes == ((0, 1),)
-        assert balancing_coarsen(pol, x1=0, atol=1e-14).classes == ((0,), (1,))
-
-    def test_partition_is_disjoint_and_exhaustive(self):
-        for seed in range(5):
-            gt = make_default_ground_truth(SPEC, seed=seed)
-            pol = oracle_policy(gt, ("x1", "x2"))
-            for x1 in range(SPEC.k1):
-                part = balancing_coarsen(pol, x1)
-                flat = sorted(j for cls in part.classes for j in cls)
-                assert flat == list(range(SPEC.k2))
-
-
 class TestGraphEstimateEquivalence:
     """The two logging graphs produce the estimator behaviour the
     admissibility verdicts predict: with no x2-to-action edge the naive
@@ -485,7 +427,7 @@ class TestGraphEstimateEquivalence:
         day1, _, _ = run_day(gt, uniform_policy(SPEC), 400_000, 1, DayStream(seed, 1, 0))
         results = {}
         for label, included in (("base", ("x1",)), ("aware", ("x1", "x2"))):
-            deployed = epsilon_greedy(fit(day1, FeatureSpec(included, ("a",), SPEC)), 0.05, SPEC)
+            deployed = epsilon_greedy(fit(day1, FeatureSpec(included, ("a",), SPEC)), 0.05)
             assert backdoor_admissible(
                 base_click_dag(x2_to_action="x2" in included), "a", "c", {"x1"}
             ) is (label == "base")

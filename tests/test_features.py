@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confoundsim import CategoricalSpec, FeatureSpec, context_count, context_index, dim, encode
+from confoundsim import CategoricalSpec, FeatureSpec
+from confoundsim.features import context_count, context_index, dim, encode
 
 SPEC_5_5_10 = CategoricalSpec(k1=5, k2=5, n_actions=10)
 

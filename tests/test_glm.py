@@ -8,23 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confoundsim import (
-    TARGET_CLICK,
-    TARGET_SALE_GIVEN_CLICK,
     CategoricalSpec,
     DayStream,
     FeatureSpec,
     FittedModel,
-    Log,
     fit,
-    fit_counts,
     make_default_ground_truth,
-    predict,
     prediction_table,
     run_day,
-    tally,
-    uniform_policy,
 )
-from confoundsim.glm import sum_tallies
+from confoundsim.glm import (
+    TARGET_CLICK,
+    TARGET_SALE_GIVEN_CLICK,
+    fit_counts,
+    predict,
+    sum_tallies,
+    tally,
+)
+from confoundsim.logs import Log
+from confoundsim.policy import uniform_policy
 from oracles import central_difference, fit_reference, gradient, log_likelihood, newton_fit
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
@@ -111,7 +113,7 @@ class TestNewtonAgreement:
         fs = FeatureSpec(("x1", "x2"), ("a",), SPEC)
         model = fit(log, fs)
         oracle = newton_fit(log, ("x1", "x2"), ("a",))
-        from confoundsim import encode
+        from confoundsim.features import encode
 
         for (x1, x2, a), logit in oracle.items():
             assert abs(model.beta[encode(fs, x1, x2, a)] - logit) <= 1e-8

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confoundsim import Log, logs
-from confoundsim.logs import NDJSON_CHUNK_ROWS, VALIDATE_ROWS
+from confoundsim import logs
+from confoundsim.logs import NDJSON_CHUNK_ROWS, VALIDATE_ROWS, Log
 from conftest import ndjson_text
 from oracles import Interaction, interaction, ndjson_reference
 

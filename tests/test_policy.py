@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from confoundsim import (
-    TARGET_CLICK,
     CategoricalSpec,
-    FactoredPolicyParams,
     FeatureSpec,
     FittedModel,
-    Policy,
     epsilon_greedy,
     make_default_ground_truth,
-    to_joint,
-    uniform_policy,
 )
+from confoundsim.glm import TARGET_CLICK
+from confoundsim.policy import FactoredPolicyParams, Policy, to_joint, uniform_policy
 from oracles import enum_policy_ctr, sample_action
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
@@ -56,13 +53,13 @@ class TestUniform:
 class TestEpsilonGreedy:
     def test_epsilon_one_is_uniform(self):
         model = model_with(np.linspace(-1, 1, 8))
-        pol = epsilon_greedy(model, 1.0, SMALL)
+        pol = epsilon_greedy(model, 1.0)
         np.testing.assert_allclose(pol.probs, 0.5)
 
     def test_pure_argmax(self):
         # predictions (0.3, 0.7) per context: mass 1 on action 1
         beta = np.tile([np.log(0.3 / 0.7), np.log(0.7 / 0.3)], 4)
-        pol = epsilon_greedy(model_with(beta), 0.0, SMALL)
+        pol = epsilon_greedy(model_with(beta), 0.0)
         np.testing.assert_allclose(pol.probs[..., 1], 1.0)
         np.testing.assert_allclose(pol.probs[..., 0], 0.0)
 
@@ -71,29 +68,29 @@ class TestEpsilonGreedy:
         model = model_with(
             np.zeros(250), spec=SPEC
         )
-        pol = epsilon_greedy(model, 0.05, SPEC)
+        pol = epsilon_greedy(model, 0.05)
         assert pol.probs.min() == pytest.approx(0.005, abs=1e-15)
         assert gt.spec.n_actions * pol.probs.min() == pytest.approx(0.05, abs=1e-15)
 
     def test_argmax_entry_mass(self):
         beta = np.tile([0.0, 1.0], 4)
-        pol = epsilon_greedy(model_with(beta), 0.05, SMALL)
+        pol = epsilon_greedy(model_with(beta), 0.05)
         assert pol.probs[0, 0, 1] == pytest.approx(0.95 + 0.025, abs=1e-15)
 
     def test_tie_breaks_to_lowest_index(self):
-        pol = epsilon_greedy(model_with(np.zeros(8)), 0.0, SMALL)
+        pol = epsilon_greedy(model_with(np.zeros(8)), 0.0)
         np.testing.assert_allclose(pol.probs[..., 0], 1.0)
 
     def test_epsilon_out_of_range(self):
         model = model_with(np.zeros(8))
         with pytest.raises(ValueError):
-            epsilon_greedy(model, -0.1, SMALL)
+            epsilon_greedy(model, -0.1)
         with pytest.raises(ValueError):
-            epsilon_greedy(model, 1.1, SMALL)
+            epsilon_greedy(model, 1.1)
 
     def test_visibility_copied_from_model(self):
         model = model_with(np.zeros(4), included=("x1",))
-        pol = epsilon_greedy(model, 0.05, SMALL)
+        pol = epsilon_greedy(model, 0.05)
         assert pol.visibility == ("x1",)
 
     def test_visibility_contract(self):
@@ -103,18 +100,18 @@ class TestEpsilonGreedy:
             [np.sin(i) for i in range(50)]
         )
         model = model_with(beta, spec=SPEC, included=("x1",))
-        pol = epsilon_greedy(model, 0.05, SPEC)
+        pol = epsilon_greedy(model, 0.05)
         for x2 in range(1, SPEC.k2):
             np.testing.assert_array_equal(pol.probs[:, x2, :], pol.probs[:, 0, :])
 
     def test_argmax_scale_invariance(self):
         beta = np.asarray([0.1, 0.9, -0.4, 0.2, 0.3, 0.05, 0.7, -0.2])
-        base = epsilon_greedy(model_with(beta), 0.0, SMALL)
+        base = epsilon_greedy(model_with(beta), 0.0)
         # scaling a context's coefficients by a positive constant keeps
         # its argmax (sigmoid is monotone)
         scaled_beta = beta.copy()
         scaled_beta[:2] = scaled_beta[:2] * 3.0
-        scaled = epsilon_greedy(model_with(np.clip(scaled_beta, -15, 15)), 0.0, SMALL)
+        scaled = epsilon_greedy(model_with(np.clip(scaled_beta, -15, 15)), 0.0)
         np.testing.assert_array_equal(
             np.argmax(base.probs, axis=-1), np.argmax(scaled.probs, axis=-1)
         )
@@ -123,7 +120,7 @@ class TestEpsilonGreedy:
 class TestSampling:
     def test_deterministic_policy(self):
         beta = np.tile([0.0, 1.0], 4)
-        pol = epsilon_greedy(model_with(beta), 0.0, SMALL)
+        pol = epsilon_greedy(model_with(beta), 0.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
             a, propensity = sample_action(pol, 0, 1, rng)
@@ -132,7 +129,7 @@ class TestSampling:
 
     def test_epsilon_greedy_argmax_propensity(self):
         beta = np.tile([0.0, 1.0], 4)
-        pol = epsilon_greedy(model_with(beta), 0.1, SMALL)
+        pol = epsilon_greedy(model_with(beta), 0.1)
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(200):
@@ -145,7 +142,7 @@ class TestSampling:
     def test_empirical_frequencies(self):
         gt = make_default_ground_truth(SMALL, seed=5)
         beta = np.asarray([0.4, -0.3, 0.6, 0.1, -0.8, 0.2, 0.0, 0.5])
-        pol = epsilon_greedy(model_with(beta), 0.3, SMALL)
+        pol = epsilon_greedy(model_with(beta), 0.3)
         rng = np.random.default_rng(11)
         n = 200_000
         draws, _ = sample_action(pol, 0, 1, rng, size=n)

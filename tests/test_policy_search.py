@@ -9,27 +9,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confoundsim import (
-    TARGET_CLICK,
     CategoricalSpec,
-    FactoredPolicyParams,
     FeatureSpec,
     FittedModel,
-    GroundTruth,
     ScenarioConfig,
     SearchConfig,
     estimate_gradient,
     exact_objective,
-    fit_counts,
     make_default_ground_truth,
     reinforce_optimize,
     run_day,
-    tally,
-    uniform_policy,
 )
+from confoundsim.environment import GroundTruth
 from confoundsim.features import context_count
 from confoundsim.fixtures import TWO_DECISION_SEEDS, TWO_DECISION_SPEC
-from confoundsim.glm import prediction_table
+from confoundsim.glm import TARGET_CLICK, fit_counts, prediction_table, tally
 from confoundsim.numerics import _guide, softmax_rows
+from confoundsim.policy import FactoredPolicyParams, uniform_policy
 from confoundsim.policy_search import BASELINES, BLOCK_SAMPLES, _draw_cells, _draw_columns
 from confoundsim.scenarios import default_two_decision_search
 from confoundsim.streams import DayStream

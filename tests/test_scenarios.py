@@ -12,12 +12,8 @@ from hypothesis import strategies as st
 
 import confoundsim.scenarios
 from confoundsim import (
-    CHUNK_ROWS,
     CategoricalSpec,
     DayStream,
-    GroundTruth,
-    Log,
-    Policy,
     ScenarioConfig,
     make_default_ground_truth,
     make_separable_ground_truth,
@@ -26,10 +22,8 @@ from confoundsim import (
     scenario_click_sale,
     scenario_feature_engineering,
     scenario_two_decision,
-    sigmoid,
-    tally,
-    uniform_policy,
 )
+from confoundsim.environment import GroundTruth
 from confoundsim.fixtures import (
     CLICK_SALE_MARGIN,
     CLICK_SALE_SEEDS,
@@ -39,8 +33,18 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
-from confoundsim.policy import greedy_policy
-from confoundsim.scenarios import LOG_COLUMNS, _ab_tests, _day_tables, _empty_columns, _simulate_chunk
+from confoundsim.glm import tally
+from confoundsim.logs import Log
+from confoundsim.numerics import sigmoid
+from confoundsim.policy import Policy, greedy_policy, uniform_policy
+from confoundsim.scenarios import (
+    CHUNK_ROWS,
+    LOG_COLUMNS,
+    _ab_tests,
+    _day_tables,
+    _empty_columns,
+    _simulate_chunk,
+)
 from conftest import all_reports, ndjson_text
 from oracles import inverse_cdf, simulate_chunk_reference
 
@@ -165,6 +169,30 @@ class TestRunDay:
         gt = make_default_ground_truth(SPEC, seed=0)
         with pytest.raises(ValueError):
             run_day(gt, uniform_policy(SPEC), 0, 0, DayStream(0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "n, day, message",
+        [
+            (True, 0, "n must be a positive integer"),
+            (2.5, 0, "n must be a positive integer"),
+            ("100", 0, "n must be a positive integer"),
+            (-5, 0, "n must be a positive integer"),
+            (100, 2.5, "day must be an integer"),
+            (100, True, "day must be an integer"),
+            (100, None, "day must be an integer"),
+        ],
+    )
+    def test_non_count_size_or_day_rejected(self, n, day, message):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_day(gt, uniform_policy(SPEC), n, day, DayStream(0, 0, 0))
+
+    def test_numpy_integer_size_and_day_accepted(self):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        log, report, _ = run_day(gt, uniform_policy(SPEC), np.int64(100), np.int32(3), DayStream(0, 3, 0))
+        plain, _, _ = run_day(gt, uniform_policy(SPEC), 100, 3, DayStream(0, 3, 0))
+        assert ndjson_text(log) == ndjson_text(plain)
+        assert report.samples == 100 and report.day == 3
 
     def test_out_receives_the_day_in_place(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02, with_sales=True)

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 
-from confoundsim import UNIFORMS_PER_ROW, DayStream
+from confoundsim.streams import UNIFORMS_PER_ROW, DayStream
 
 CHUNK = 37
 CHUNKS = 96

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confoundsim import UNIFORMS_PER_ROW, DayStream
+from confoundsim.streams import UNIFORMS_PER_ROW, DayStream
 
 
 def test_row_shape_and_range():
@@ -97,3 +97,26 @@ def test_cached_key_leaves_equality_hash_and_repr_alone():
     assert hash(drawn) == hash(fresh)
     assert repr(drawn) == repr(fresh) == "DayStream(seed=3, day=2, substream=1)"
     assert drawn != DayStream(seed=3, day=2, substream=2)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((0, 2.5), "day"),
+        ((True, 0), "seed"),
+        ((0, 0, 1.9), "substream"),
+        ((0, -1), "day"),
+        ((-1, 0), "seed"),
+        ((0, 0, -2), "substream"),
+        ((0, "1"), "day"),
+        ((0, np.float64(2.0)), "day"),
+    ],
+)
+def test_non_count_keys_rejected(args, field):
+    with pytest.raises(ValueError, match=f"{field} must be a nonnegative integer"):
+        DayStream(*args)
+
+
+def test_numpy_integer_keys_accepted():
+    stream = DayStream(np.int64(3), np.int32(2), np.uint8(1))
+    np.testing.assert_array_equal(stream.uniforms(0, 5), DayStream(3, 2, 1).uniforms(0, 5))
