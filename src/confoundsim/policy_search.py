@@ -33,7 +33,7 @@ import numpy as np
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import _draw, _guide, _is_count, _is_real, softmax_rows
+from .numerics import UNIFORM_BITS, _draw, _guide, _is_count, _is_real, softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -101,7 +101,7 @@ def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
         grid_a,
         grid_d,
         table.ravel(),
-        _guide(np.cumsum(weights.ravel())[None, :-1]),
+        _guide(np.cumsum(weights.ravel())[None, :-1], inclusive=True),
         grid_a.ravel(),
         grid_d.ravel(),
     )
@@ -129,20 +129,22 @@ def exact_objective(model: FittedModel, params: FactoredPolicyParams, gt: Ground
     return _objective(_search_inputs(model, params, gt), params.action_logits, params.decision_logits)
 
 
-def _draw_cells(guide: tuple, u: np.ndarray) -> np.ndarray:
-    """Covariate cell of each uniform of ``u`` by the row sampler's x1 rule: the count of
-    entries of the guide's CDF, without its last, at or below it, as ``searchsorted(side="right")``."""
-    cells, idx = np.empty(u.shape, dtype=np.int32), np.empty(u.shape, dtype=np.intp)
-    _draw(*guide, np.less_equal, u, 0, cells, idx, np.empty(u.shape), np.empty(u.shape, dtype=np.bool_))
+def _draw_cells(guide: tuple, k: np.ndarray) -> np.ndarray:
+    """Covariate cell of each integer uniform ``k`` (standing for ``k * 2**-53``) by the row
+    sampler's x1 rule: the count of entries of the guide's CDF, without its last, at or below
+    the uniform, as ``searchsorted(side="right")``."""
+    cells, idx = np.empty(k.shape, dtype=np.int32), np.empty(k.shape, dtype=np.intp)
+    _draw(*guide, k, 0, cells, idx, np.empty(k.shape, dtype=np.int64), np.empty(k.shape, dtype=np.bool_))
     return cells
 
 
 def _draw_block(inputs: _SearchInputs, rng: np.random.Generator, iterations: int, batch_size: int):
     """Uniforms, head rows and reward base index ``cell * n_a * n_d`` of each sample of
     ``iterations`` batches.  PCG64 spends one 64-bit output per double, so the C-order fill
-    is the stream of three ``rng.random(batch_size)`` calls per batch, in the reference's order."""
+    is the stream of three ``rng.random(batch_size)`` calls per batch, in the reference's order.
+    A double is ``k * 2**-53``, so ``u * 2**53`` gives the cell draw its exact integer ``k``."""
     u = rng.random((iterations, 3, batch_size))
-    cells = _draw_cells(inputs.cell_guide, u[:, 0])
+    cells = _draw_cells(inputs.cell_guide, (u[:, 0] * 2.0**UNIFORM_BITS).astype(np.int64))
     per_cell = inputs.table[0, 0].size
     return u, inputs.rows_a.take(cells), inputs.rows_d.take(cells), np.multiply(cells, per_cell, dtype=np.intp)
 

@@ -41,7 +41,7 @@ from .glm import (
     sum_tallies,
 )
 from .logs import ARM_CODES, Log
-from .numerics import GUIDE_BUCKETS, _draw, _guide, _is_count, _is_real, sigmoid
+from .numerics import GUIDE_BUCKETS, _draw, _guide, _is_count, _is_real, _threshold, sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
 from .streams import UNIFORMS_PER_ROW, DayStream
@@ -201,7 +201,9 @@ class _DayTables(NamedTuple):
     """Lookup tables of the row sampler, built once per :func:`run_day` call:
     guide tables of the x1 CDF, the x2 CDF of each x1 and the action cell CDF
     of each context ``x1 * k2 + x2``, each without its last entry so a draw is
-    capped; ``propensity``, ``p_click`` and ``p_sale``, flat over ``(context, cell)``."""
+    capped; ``propensity``, flat over ``(context, cell)``, and the integer
+    thresholds ``p_click`` and ``p_sale`` of the click and sale probabilities
+    over the same cells: ``k < K`` exactly when ``k * 2**-53 < p``."""
 
     x1: tuple
     x2: tuple
@@ -216,13 +218,14 @@ def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     spec = gt.spec
     cell_probs = policy.cell_probs().reshape(spec.k1 * spec.k2, -1)
     repeat = spec.action_cells // spec.n_actions
+    p_sale = None if gt.sale_logit is None else np.repeat(sigmoid(gt.sale_logit), repeat, axis=-1)
     return _DayTables(
-        x1=_guide(np.cumsum(gt.p_x1)[None, :-1]),
-        x2=_guide(np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1]),
-        cell=_guide(np.cumsum(cell_probs, axis=1)[:, :-1]),
+        x1=_guide(np.cumsum(gt.p_x1)[None, :-1], inclusive=True),
+        x2=_guide(np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1], inclusive=False),
+        cell=_guide(np.cumsum(cell_probs, axis=1)[:, :-1], inclusive=False),
         propensity=cell_probs.ravel(),
-        p_click=sigmoid(gt.click_logit).ravel(),
-        p_sale=None if gt.sale_logit is None else np.repeat(sigmoid(gt.sale_logit), repeat, axis=-1).ravel(),
+        p_click=_threshold(sigmoid(gt.click_logit).ravel(), inclusive=True),
+        p_sale=None if p_sale is None else _threshold(p_sale.ravel(), inclusive=True),
         spec=spec,
     )
 
@@ -230,14 +233,16 @@ def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
 def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, counts) -> None:
     """Inverse-CDF simulation of one chunk of rows from the day's tables.
 
-    x1 counts the CDF entries at or below its uniform (numpy's
-    ``searchsorted(side="right")`` rule); x2 and the action cell count the
-    entries strictly below theirs.  Writes ``(x1, x2, a, d, propensity, c,
-    s)`` into the length-``len(u)`` columns of ``out``: int32 covariates
-    and actions, float64 propensities and int8 outcomes, with ``d`` or
-    ``s`` None when the environment has no decision axis or no sale
+    ``u`` holds each row's integer uniforms ``k`` (:meth:`DayStream.uniforms`),
+    standing for ``k * 2**-53``.  x1 counts the CDF entries at or below its
+    uniform (numpy's ``searchsorted(side="right")`` rule); x2 and the action
+    cell count the entries strictly below theirs; a row clicks, and a click
+    sells, when its uniform is below the probability.  Writes ``(x1, x2, a, d,
+    propensity, c, s)`` into the length-``len(u)`` columns of ``out``: int32
+    covariates and actions, float64 propensities and int8 outcomes, with
+    ``d`` or ``s`` None when the environment has no decision axis or no sale
     mechanism.  Adds each row to its :func:`glm.tally` bin of int64
-    ``counts``.  ``u4`` is ``(4, len(u))`` float64 scratch for a contiguous
+    ``counts``.  ``u4`` is ``(4, len(u))`` int64 scratch for a contiguous
     copy of the uniforms the draws and clicks compare, ``idx`` intp scratch.
     """
     spec = tables.spec
@@ -246,22 +251,24 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, coun
     # propensity and c are scratch until their own values are written, and
     # the x1 uniforms' row until the contexts are.
     clicked = c.view(np.bool_)
-    scratch = (idx, propensity, clicked)
-    _draw(*tables.x1, np.less_equal, u4[0], 0, x1, *scratch)
+    thresholds = propensity.view(np.int64)
+    scratch = (idx, thresholds, clicked)
+    _draw(*tables.x1, u4[0], 0, x1, *scratch)
     np.multiply(x1, GUIDE_BUCKETS, out=x2)
-    _draw(*tables.x2, np.less, u4[1], x2, x2, *scratch)
+    _draw(*tables.x2, u4[1], x2, x2, *scratch)
     context = u4[0].view(np.intp)
     np.multiply(x1, spec.k2, out=context)
     context += x2
     np.multiply(context, GUIDE_BUCKETS, out=a)
-    _draw(*tables.cell, np.less, u4[2], a, a, *scratch)
+    _draw(*tables.cell, u4[2], a, a, *scratch)
     np.multiply(context, spec.action_cells, out=idx)
     idx += a
-    np.less(u4[3], tables.p_click.take(idx, out=propensity), out=clicked)
+    # Every index is in range; take's default mode="raise" would buffer its out=.
+    np.less(u4[3], tables.p_click.take(idx, out=thresholds, mode="clip"), out=clicked)
     if s is not None:
-        np.less(u[:, 4], tables.p_sale.take(idx, out=propensity), out=s.view(np.bool_))
+        np.less(u[:, 4], tables.p_sale.take(idx, out=thresholds, mode="clip"), out=s.view(np.bool_))
         np.copyto(s, np.int8(-1), where=~clicked)
-    tables.propensity.take(idx, out=propensity)
+    tables.propensity.take(idx, out=propensity, mode="clip")
     if d is not None:
         np.divmod(a, spec.n_decisions, out=(a, d))
     # A row's outcome is c, or s + 1 with sales: s is -1 unless clicked.
@@ -346,8 +353,9 @@ def run_day(
     """
     if not _is_count(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not _is_count(day):
-        raise ValueError(f"day must be an integer, got {day!r}")
+    # The log's day column is int32.
+    if not _is_count(day) or not 0 <= day < 2**31:
+        raise ValueError(f"day must be an integer in [0, 2**31), got {day!r}")
     chunk_rows = CHUNK_ROWS
     starts = range(0, n, chunk_rows)
     stripes = _worker_count(workers, len(starts))
@@ -364,7 +372,8 @@ def run_day(
     sampled = out[1:8]
     rows = min(chunk_rows, n)
     buffers = [
-        (np.empty((rows, UNIFORMS_PER_ROW)), np.empty((4, rows)), np.empty(rows, np.intp)) for _ in range(stripes)
+        (np.empty((rows, UNIFORMS_PER_ROW), np.int64), np.empty((4, rows), np.int64), np.empty(rows, np.intp))
+        for _ in range(stripes)
     ]
     bins = np.zeros((stripes, 3 * tables.propensity.size), dtype=np.int64)
 

@@ -1,10 +1,13 @@
 """Counter-based random streams for replayable, chunkable simulation.
 
 Every simulated interaction consumes exactly :data:`UNIFORMS_PER_ROW`
-uniform doubles from a Philox counter-based generator keyed by
-``(seed, day, substream)``.  Because the generator can be advanced to any
-draw index in O(1), a day can be simulated in chunks of any size, in any
-order, serially or in parallel, and the resulting log is byte-identical.
+64-bit words from a Philox counter-based generator keyed by
+``(seed, day, substream)``.  The stream hands out each word's top 53 bits
+``k``, the integer behind numpy's uniform double ``k * 2**-53``, and the
+row sampler compares those integers with integer thresholds, so no double
+is made for a draw.  Because the generator can be advanced to any draw
+index in O(1), a day can be simulated in chunks of any size, in any order,
+serially or in parallel, and the resulting log is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import _is_count
+from .numerics import UNIFORM_BITS, _is_count
 
 __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 
@@ -26,9 +29,15 @@ __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 # row start block-aligned.
 UNIFORMS_PER_ROW = 8
 _DRAWS_PER_BLOCK = 4
+# numpy's uniform double from a 64-bit word w is (w >> 11) * 2**-53.
+_SHIFT = 64 - UNIFORM_BITS
+# Rows per random_raw call while filling a block: one call's raw words
+# (64 KiB) stay in cache and below glibc's mmap threshold, and no
+# chunk-sized transient is allocated.
+_FILL_ROWS = 1024
 
-# One Philox generator per thread.  Every call sets its whole state before
-# drawing, so nothing carries over between calls; a fresh
+# One Philox bit generator per thread.  Every call sets its whole state
+# before drawing, so nothing carries over between calls; a fresh
 # np.random.Philox(key=...) per call would draw OS entropy for a seed that
 # the key then overrides.
 _local = threading.local()
@@ -71,22 +80,33 @@ class DayStream:
         return state
 
     def uniforms(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Uniform draws for rows ``start .. start + count - 1``.
+        """Draws for rows ``start .. start + count - 1``, as 53-bit integers.
 
-        Returns a ``(count, UNIFORMS_PER_ROW)`` float64 array that does not
-        depend on how the row range is partitioned into calls.  ``out``, as
-        in numpy's ``out=``, is a C-contiguous float64 array of that shape
-        to fill and return instead of a fresh one.
+        Returns a ``(count, UNIFORMS_PER_ROW)`` int64 array of ``k`` in
+        ``[0, 2**53)`` that does not depend on how the row range is
+        partitioned into calls; ``k * 2**-53`` is, bit for bit, the double
+        ``np.random.Generator(np.random.Philox(key)).random()`` draws from
+        the same position.  ``out``, as in numpy's ``out=``, is a
+        C-contiguous int64 array of that shape to fill and return instead
+        of a fresh one.
         """
-        if start < 0 or count < 0:
-            raise ValueError("start and count must be nonnegative")
-        # numpy fills an F-ordered out in memory order, which would put
-        # each row's draws down a column.
-        if out is not None and not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        if not hasattr(_local, "generator"):
-            _local.generator = np.random.Generator(np.random.Philox(0))
-        gen = _local.generator
-        gen.bit_generator.state = self._state
-        gen.bit_generator.advance(start * UNIFORMS_PER_ROW // _DRAWS_PER_BLOCK)
-        return gen.random((count, UNIFORMS_PER_ROW), out=out)
+        for name, value in (("start", start), ("count", count)):
+            if not _is_count(value) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        shape = (count, UNIFORMS_PER_ROW)
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        elif out.dtype != np.int64 or out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous int64 array of shape {shape}")
+        if not hasattr(_local, "bit_generator"):
+            _local.bit_generator = np.random.Philox(0)
+        bit_generator = _local.bit_generator
+        bit_generator.state = self._state
+        bit_generator.advance(int(start) * UNIFORMS_PER_ROW // _DRAWS_PER_BLOCK)
+        # Every k is below 2**63, so the uint64 view holds the same numbers
+        # and the shift runs without a cast.
+        words = out.view(np.uint64)
+        for first in range(0, count, _FILL_ROWS):
+            rows = words[first : first + _FILL_ROWS]
+            np.right_shift(bit_generator.random_raw(rows.shape), _SHIFT, out=rows)
+        return out

@@ -169,16 +169,25 @@ class TestDrawColumns:
         assert _draw_columns(cdf, rows, u).tolist() == [0, 1, 2, 2, 0, 2]
 
 
-# Largest double below 1.0: the top of numpy's uniform range.
+# Largest double below 1.0: the top of numpy's uniform range, K_TOP * 2**-53.
 U_TOP = 1.0 - 2.0**-53
+K_TOP = 2**53 - 1
+
+
+def grid_neighbours(u):
+    """The integer uniforms next to each double of ``u``: floor and ceil of
+    ``u * 2**53``, below 2**53, sorted and without repeats."""
+    scaled = np.asarray(u, dtype=np.float64) * 2.0**53
+    k = np.unique(np.concatenate([np.floor(scaled), np.ceil(scaled)]))
+    return k[k < 2**53].astype(np.int64)
 
 
 @st.composite
 def covariate_draws(draw):
     """Covariate weights with zero-weight cells, as dyadic counts k/256
     (every CDF entry on a guide bucket edge) or as arbitrary shares, and
-    uniforms at 0.0, on each CDF entry and its neighbours, at U_TOP, and
-    fresh."""
+    integer uniforms next to 0.0, to each CDF entry and its neighbours, to
+    U_TOP, and to fresh doubles."""
     cells = draw(st.integers(2, 30))
     counts = np.array(draw(st.lists(st.integers(0, 8), min_size=cells, max_size=cells)), dtype=float)
     if draw(st.booleans()):
@@ -193,8 +202,8 @@ def covariate_draws(draw):
     for e in cdf:
         values |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
     fresh = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-    u = np.array(sorted(v for v in values | set(fresh) if 0.0 <= v < 1.0))
-    return cdf, u[np.random.default_rng(cells).permutation(len(u))]
+    k = grid_neighbours(sorted(values | set(fresh)))
+    return cdf, k[np.random.default_rng(cells).permutation(len(k))]
 
 
 class TestDrawCells:
@@ -204,18 +213,21 @@ class TestDrawCells:
 
     @settings(max_examples=100, deadline=None)
     @given(case=covariate_draws())
-    @example(case=(np.cumsum([0.25, 0.0, 0.0, 0.5, 0.25]), np.array([0.0, 0.25, 0.75, U_TOP, 0.5])))
+    @example(case=(np.cumsum([0.25, 0.0, 0.0, 0.5, 0.25]), np.array([0, 2**51, 3 * 2**51, K_TOP, 2**52])))
     def test_matches_searchsorted(self, case):
-        cdf, u = case
+        cdf, k = case
         cells = len(cdf)
-        drawn = _draw_cells(_guide(cdf[None, :-1]), u)
-        expected = np.minimum(np.searchsorted(cdf, u, side="right"), cells - 1)
+        drawn = _draw_cells(_guide(cdf[None, :-1], inclusive=True), k)
+        expected = np.minimum(np.searchsorted(cdf, k * 2.0**-53, side="right"), cells - 1)
         assert drawn.tolist() == expected.tolist()
 
     def test_block_shape(self):
         cdf = np.cumsum([0.5, 0.0, 0.25, 0.25])
         u = np.array([[0.0, 0.5, 0.75], [U_TOP, 0.4999, 0.25]])
-        assert _draw_cells(_guide(cdf[None, :-1]), u).tolist() == [[0, 2, 3], [3, 0, 0]]
+        # 0.4999 lies between two integer uniforms; both draw cell 0.
+        for grid in (np.floor, np.ceil):
+            k = grid(u * 2.0**53).astype(np.int64)
+            assert _draw_cells(_guide(cdf[None, :-1], inclusive=True), k).tolist() == [[0, 2, 3], [3, 0, 0]]
 
 
 class TestExactObjective:

@@ -35,7 +35,7 @@ from confoundsim.fixtures import (
 )
 from confoundsim.glm import tally
 from confoundsim.logs import Log
-from confoundsim.numerics import sigmoid
+from confoundsim.numerics import GUIDE_BUCKETS, _draw, sigmoid
 from confoundsim.policy import Policy, greedy_policy, uniform_policy
 from confoundsim.scenarios import (
     CHUNK_ROWS,
@@ -187,6 +187,29 @@ class TestRunDay:
         with pytest.raises(ValueError, match=message):
             run_day(gt, uniform_policy(SPEC), n, day, DayStream(0, 0, 0))
 
+    @pytest.mark.parametrize("day", [2**31, np.int64(2**31), -1])
+    def test_day_outside_the_int32_column_rejected_before_any_draw(self, day, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        calls = []
+        monkeypatch.setattr(DayStream, "uniforms", lambda self, *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"day must be an integer in \[0, 2\*\*31\)"):
+            run_day(gt, uniform_policy(SPEC), 10, day, DayStream(0, 0, 0))
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_row_is_drawn_through_the_stream(self, workers, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        counted, uniforms = [], DayStream.uniforms
+
+        def counting(self, start, count, out=None):
+            counted.append(count)
+            return uniforms(self, start, count, out)
+
+        monkeypatch.setattr(DayStream, "uniforms", counting)
+        n = 3 * CHUNK_ROWS + 7
+        run_day(gt, uniform_policy(SPEC), n, 0, DayStream(0, 0, 0), workers=workers)
+        assert sum(counted) == n
+
     def test_numpy_integer_size_and_day_accepted(self):
         gt = make_default_ground_truth(SPEC, seed=0)
         log, report, _ = run_day(gt, uniform_policy(SPEC), np.int64(100), np.int32(3), DayStream(0, 3, 0))
@@ -231,8 +254,9 @@ SAMPLER_SPECS = (
     CategoricalSpec(k1=4, k2=4, n_actions=5, n_decisions=4),
     TWO_DECISION_SPEC,
 )
-# Largest double below 1.0: the top of Philox's uniform range.
-U_TOP = 1.0 - 2.0**-53
+# The largest 53-bit uniform: K_TOP * 2**-53 is the largest double below 1.0,
+# the top of Philox's uniform range.
+K_TOP = 2**53 - 1
 
 
 def sampler_policy(spec, kind, epsilon, rng):
@@ -248,21 +272,22 @@ def sampler_policy(spec, kind, epsilon, rng):
 
 
 def simulate_chunk(gt, policy, u):
-    """_simulate_chunk's columns for ``u``, written over columns that start
-    out as junk bytes so every byte must come from the sampler."""
+    """_simulate_chunk's columns for the integer uniforms ``u``, written over
+    columns that start out as junk bytes so every byte must come from the sampler."""
     out = _empty_columns(gt, len(u), with_arm=False)[1:8]
     for col in out:
         if col is not None:
             col.view(np.uint8).fill(0x5A)
     tables = _day_tables(gt, policy)
-    scratch = (np.empty((4, len(u))), np.empty(len(u), dtype=np.intp))
+    scratch = (np.empty((4, len(u)), dtype=np.int64), np.empty(len(u), dtype=np.intp))
     _simulate_chunk(tables, u, out, *scratch, np.zeros(3 * tables.propensity.size, dtype=np.int64))
     return out
 
 
 def reference_columns(gt, policy, u):
-    """The reference chunk with run_day's int32 cast of covariates and actions."""
-    cols = list(simulate_chunk_reference(gt, policy, u))
+    """The reference chunk drawn from the doubles ``u * 2**-53`` of the integer
+    uniforms ``u``, with run_day's int32 cast of covariates and actions."""
+    cols = list(simulate_chunk_reference(gt, policy, u * 2.0**-53))
     for i in range(4):
         if cols[i] is not None:
             cols[i] = cols[i].astype(np.int32)
@@ -311,20 +336,24 @@ class TestSamplerByteContract:
             sale_logit=np.zeros(spec.cell_shape),
         )
         policy = Policy(spec, np.broadcast_to(probs, spec.cell_shape), ())
-        above = np.nextafter(0.25, 1.0)
-        u = np.zeros((6, 8))
+        # The uniforms 0.25 and 0.5.  np.nextafter(0.25, 1.0) lies between two
+        # uniforms k * 2**-53: 0.25 itself and the one above it.
+        quarter, half = 2**51, 2**52
+        above = quarter + 1
+        u = np.zeros((7, 8), dtype=np.int64)
         u[:, :3] = [
-            [0.25, 0.25, 0.25],
-            [0.5, 0.5, 0.5],
+            [quarter, quarter, quarter],
+            [half, half, half],
             [above, above, above],
-            [U_TOP, U_TOP, U_TOP],
-            [0.0, 0.0, 0.0],
-            [0.25, U_TOP, 0.5],
+            [K_TOP, K_TOP, K_TOP],
+            [0, 0, 0],
+            [quarter, K_TOP, half],
+            [quarter, quarter, quarter],
         ]
         got = simulate_chunk(gt, policy, u)
-        assert got[0].tolist() == [1, 2, 1, 2, 0, 1]
-        assert got[1].tolist() == [0, 1, 1, 2, 0, 2]
-        assert got[2].tolist() == [0, 1, 1, 2, 0, 1]
+        assert got[0].tolist() == [1, 2, 1, 2, 0, 1, 1]
+        assert got[1].tolist() == [0, 1, 1, 2, 0, 2, 0]
+        assert got[2].tolist() == [0, 1, 1, 2, 0, 1, 0]
         assert_same_columns(got, reference_columns(gt, policy, u))
 
     @pytest.mark.parametrize(
@@ -395,15 +424,32 @@ GUIDE_EDGE_PROBS = {
 }
 
 
+def edge_truth(probs, rng, with_sales):
+    """An environment and logging policy whose x1, x2 and action-cell CDFs are all ``cumsum(probs)``."""
+    k = len(probs)
+    spec = CategoricalSpec(k1=k, k2=k, n_actions=k)
+    gt = GroundTruth(
+        spec=spec,
+        p_x1=probs,
+        p_x2_given_x1=np.tile(probs, (k, 1)),
+        click_logit=rng.normal(size=spec.cell_shape),
+        sale_logit=rng.normal(size=spec.cell_shape) if with_sales else None,
+    )
+    return gt, Policy(spec, np.broadcast_to(probs, spec.cell_shape), ())
+
+
 def edge_uniforms(cdf, rng):
-    """Rows whose first three uniforms cover 0.0, every bucket edge k/256,
-    every CDF entry and its neighbours, and U_TOP, in three independent
+    """Rows whose first three integer uniforms cover 0, every bucket edge
+    b/256, both grid neighbours (floor and ceil of ``v * 2**53``) of every
+    CDF entry and of its float neighbours, and K_TOP, in three independent
     orders; the other five uniforms are random."""
-    values = {0.0, U_TOP, *(k / 256 for k in range(256))}
+    doubles = {b / 256 for b in range(256)}
     for e in cdf:
-        values |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
-    values = np.array(sorted(v for v in values if 0.0 <= v < 1.0))
-    u = rng.random((len(values), 8))
+        doubles |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
+    scaled = np.array(sorted(doubles)) * 2.0**53
+    values = np.unique(np.concatenate([[0.0, K_TOP], np.floor(scaled), np.ceil(scaled)]))
+    values = values[values < 2**53].astype(np.int64)
+    u = rng.integers(0, 2**53, size=(len(values), 8))
     for col in range(3):
         u[:, col] = rng.permutation(values)
     return u
@@ -418,22 +464,77 @@ class TestGuideTableEdges:
     @pytest.mark.parametrize("name", list(GUIDE_EDGE_PROBS))
     def test_chunk_matches_reference(self, name, with_sales):
         probs = np.array(GUIDE_EDGE_PROBS[name])
-        k = len(probs)
-        spec = CategoricalSpec(k1=k, k2=k, n_actions=k)
-        rng = np.random.default_rng(k)
-        gt = GroundTruth(
-            spec=spec,
-            p_x1=probs,
-            p_x2_given_x1=np.tile(probs, (k, 1)),
-            click_logit=rng.normal(size=spec.cell_shape),
-            sale_logit=rng.normal(size=spec.cell_shape) if with_sales else None,
-        )
-        policy = Policy(spec, np.broadcast_to(probs, spec.cell_shape), ())
+        rng = np.random.default_rng(len(probs))
+        gt, policy = edge_truth(probs, rng, with_sales)
         u = edge_uniforms(np.cumsum(probs), rng)
         assert_same_columns(simulate_chunk(gt, policy, u), reference_columns(gt, policy, u))
         tables = _day_tables(gt, policy)
         levels = {"two-levels": 2, "three-levels": 3}.get(name, 1)
         assert [len(values) - 1 for _, values in tables[:3]] == [levels] * 3
+
+
+def guide_draws(table, rows, k):
+    """_draw's count for integer uniform ``k[i]`` on CDF row ``rows[i]`` of a guide table."""
+    out, n = np.empty(len(k), dtype=np.int32), len(k)
+    _draw(*table, k, rows * GUIDE_BUCKETS, out, np.empty(n, np.intp), np.empty(n, np.int64), np.empty(n, np.bool_))
+    return out
+
+
+def float_count(cdf, rows, k, rule):
+    """Entries ``e`` of CDF row ``rows[i]`` that pass ``rule(e, k[i] * 2**-53)``."""
+    return rule(cdf[rows], (k * 2.0**-53)[:, None]).sum(axis=1)
+
+
+class TestExactThresholds:
+    """Every integer threshold K of a day's tables sits where the float rule
+    flips on the uniforms k * 2**-53: k = K - 1 fails it and k = K passes, and
+    at both, at k = 0 and at K_TOP the integer rule agrees with the float rule
+    applied to k * 2**-53."""
+
+    @pytest.mark.parametrize("name", list(GUIDE_EDGE_PROBS))
+    def test_guide_levels_and_bucket_edges(self, name):
+        probs = np.array(GUIDE_EDGE_PROBS[name])
+        gt, policy = edge_truth(probs, np.random.default_rng(len(probs)), with_sales=True)
+        tables = _day_tables(gt, policy)
+        cell_probs = policy.cell_probs().reshape(gt.spec.k1 * gt.spec.k2, -1)
+        sources = (
+            (tables.x1, np.cumsum(gt.p_x1)[None, :-1], np.less_equal),
+            (tables.x2, np.cumsum(gt.p_x2_given_x1, axis=1)[:, :-1], np.less),
+            (tables.cell, np.cumsum(cell_probs, axis=1)[:, :-1], np.less),
+        )
+        for table, cdf, rule in sources:
+            values = table[1]
+            assert values.dtype == np.int64
+            slot = np.tile(np.arange(values.shape[1]), len(values))
+            rows, edge = slot // GUIDE_BUCKETS, (slot % GUIDE_BUCKETS + 1) << 45
+            K = values.ravel()
+            for k in (K - 1, K, np.zeros_like(K), np.full_like(K, K_TOP)):
+                ok = (k >= 0) & (k < 2**53)
+                want = float_count(cdf, rows[ok], k[ok], rule)
+                assert guide_draws(table, rows[ok], k[ok]).tolist() == want.tolist()
+            # A level, unlike an upper edge, is the threshold of some entry: k = K
+            # passes it and k = K - 1 does not.
+            level = K != edge
+            passed = float_count(cdf, rows[level], K[level], rule)
+            assert (passed > float_count(cdf, rows[level], K[level] - 1, rule)).all()
+
+    @pytest.mark.parametrize("name", list(GUIDE_EDGE_PROBS))
+    def test_click_and_sale_probabilities(self, name):
+        probs = np.array(GUIDE_EDGE_PROBS[name])
+        gt, policy = edge_truth(probs, np.random.default_rng(len(probs)), with_sales=True)
+        # p = 0.5 exactly and p near 1: for p >= 0.5, p * 2**53 is an integer,
+        # so a floor-based threshold would click at k = p * 2**53.
+        gt.click_logit.flat[::5] = 0.0
+        gt.click_logit.flat[1::5] = 15.0
+        tables = _day_tables(gt, policy)
+        for p, K in ((sigmoid(gt.click_logit), tables.p_click), (sigmoid(gt.sale_logit), tables.p_sale)):
+            p = p.ravel()
+            assert K.dtype == np.int64
+            assert ((K - 1) * 2.0**-53 < p).all()
+            assert not (K * 2.0**-53 < p).any()
+            for k in (K - 1, K, np.zeros_like(K), np.full_like(K, K_TOP)):
+                assert ((k < K) == (k * 2.0**-53 < p)).all()
+        assert (sigmoid(gt.click_logit) == 0.5).any()
 
 
 def same_tally(got, want) -> bool:

@@ -1,5 +1,7 @@
 """Counter-based stream tests: determinism, substream independence, chunking."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,49 @@ from confoundsim.streams import UNIFORMS_PER_ROW, DayStream
 
 
 def test_row_shape_and_range():
-    u = DayStream(seed=0, day=0, substream=0).uniforms(0, 100)
-    assert u.shape == (100, UNIFORMS_PER_ROW)
-    assert np.all((u >= 0.0) & (u < 1.0))
+    k = DayStream(seed=0, day=0, substream=0).uniforms(0, 100)
+    assert k.shape == (100, UNIFORMS_PER_ROW)
+    assert k.dtype == np.int64
+    assert np.all((k >= 0) & (k < 2**53))
+
+
+def philox_doubles(seed, day, substream, rows):
+    """numpy's own uniform doubles of a stream: a Generator over Philox keyed as DayStream keys it."""
+    key = np.random.SeedSequence([seed, day, substream]).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((rows, UNIFORMS_PER_ROW))
+
+
+SPLITS = [
+    [(0, 1000)],
+    [(0, 1), (1, 999)],
+    [(0, 999), (999, 1)],
+    [(0, 100), (100, 400), (500, 500)],
+    [(0, 7), (7, 13), (20, 480), (500, 500)],
+]
+
+
+@pytest.mark.parametrize("splits", SPLITS)
+def test_scaled_draws_are_numpys_philox_doubles(splits):
+    """k * 2**-53 is, bit for bit, what Generator(Philox).random draws, however the rows
+    are split; the last call's 2,500 rows span several of the stream's fill blocks."""
+    stream = DayStream(seed=11, day=4, substream=2)
+    want = philox_doubles(11, 4, 2, 3500)
+    got = np.concatenate([stream.uniforms(start, count) for start, count in splits + [(1000, 2500)]]) * 2.0**-53
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("piece", [37, 1100])
+def test_scaled_draws_are_numpys_philox_doubles_across_threads(piece):
+    """Three threads drawing interleaved pieces of two streams into one block each."""
+    streams = [DayStream(seed=9, day=3, substream=s) for s in (0, 1)]
+    rows = piece * 12
+    got = [np.full((rows, UNIFORMS_PER_ROW), -1, dtype=np.int64) for _ in streams]
+    pieces = [(stream, out, start) for start in range(0, rows, piece) for stream, out in zip(streams, got)]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        for done in [pool.submit(s.uniforms, start, piece, out[start : start + piece]) for s, out, start in pieces]:
+            done.result(timeout=60)
+    for s, k in zip(streams, got):
+        assert (k * 2.0**-53).tobytes() == philox_doubles(9, 3, s.substream, rows).tobytes()
 
 
 def test_same_coordinates_identical():
@@ -28,16 +70,7 @@ def test_distinct_coordinates_differ():
         assert not np.array_equal(base, other.uniforms(0, 50))
 
 
-@pytest.mark.parametrize(
-    "splits",
-    [
-        [(0, 1000)],
-        [(0, 1), (1, 999)],
-        [(0, 999), (999, 1)],
-        [(0, 100), (100, 400), (500, 500)],
-        [(0, 7), (7, 13), (20, 480), (500, 500)],
-    ],
-)
+@pytest.mark.parametrize("splits", SPLITS)
 def test_chunking_invariance(splits):
     """Any partition of row indices reproduces the full sequence."""
     stream = DayStream(seed=11, day=4, substream=2)
@@ -64,19 +97,47 @@ def test_rows_are_block_aligned():
 
 def test_out_is_filled_with_the_same_draws():
     stream = DayStream(seed=7, day=1, substream=1)
-    out = np.full((40, UNIFORMS_PER_ROW), -1.0)
+    out = np.full((40, UNIFORMS_PER_ROW), -1, dtype=np.int64)
     assert stream.uniforms(24, 40, out) is out
     np.testing.assert_array_equal(out, stream.uniforms(24, 40))
 
 
 @pytest.mark.parametrize(
     "out",
-    [np.empty((39, UNIFORMS_PER_ROW)), np.empty((UNIFORMS_PER_ROW, 40)).T],
-    ids=["shape", "F-order"],
+    [
+        np.empty((39, UNIFORMS_PER_ROW), dtype=np.int64),
+        np.empty((UNIFORMS_PER_ROW, 40), dtype=np.int64).T,
+        np.empty((40, UNIFORMS_PER_ROW)),
+        np.empty((40, UNIFORMS_PER_ROW), dtype=np.uint64),
+    ],
+    ids=["shape", "F-order", "float64", "uint64"],
 )
 def test_out_must_be_a_c_ordered_block_of_the_rows(out):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out must be"):
         DayStream(seed=7, day=1, substream=1).uniforms(0, 40, out)
+
+
+@pytest.mark.parametrize(
+    "start, count, name",
+    [
+        (True, 2, "start"),
+        (2.5, 2, "start"),
+        (-1, 2, "start"),
+        (np.float64(2.0), 2, "start"),
+        (0, False, "count"),
+        (0, 2.5, "count"),
+        (0, -1, "count"),
+        (0, "2", "count"),
+    ],
+)
+def test_non_count_rows_rejected(start, count, name):
+    with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+        DayStream(seed=0, day=0).uniforms(start, count)
+
+
+def test_numpy_integer_rows_accepted():
+    stream = DayStream(seed=0, day=0)
+    np.testing.assert_array_equal(stream.uniforms(np.int64(3), np.uint8(2)), stream.uniforms(3, 2))
 
 
 def test_key_is_derived_once_per_stream(monkeypatch):
