@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import CategoricalSpec
-from .numerics import PROB_ATOL, sigmoid
+from .features import COVARIATE_FACTORS, CategoricalSpec, _canonical_subset
+from .numerics import PROB_ATOL, _is_count, sigmoid
 from .policy import Policy, greedy_policy
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "make_separable_ground_truth",
     "marginal_click_prob",
     "oracle_policy",
+    "policy_value",
 ]
 
 # Default rejection-sampling budget for make_default_ground_truth.
@@ -149,20 +150,18 @@ def confounding_gap(gt: GroundTruth) -> float:
     """
     cells = _click_cells(gt)
     marginal = marginal_click_prob(gt)
-    gaps = []
-    for i in range(gt.spec.k1):
-        w = gt.p_x2_given_x1[i]
-        greedy = np.argmax(cells[i], axis=1)
-        naive = marginal[i].copy()
-        for cell in np.unique(greedy):
-            mask = greedy == cell
-            denom = w[mask].sum()
-            if denom > 0:
-                naive[cell] = float(w[mask] @ cells[i][mask, cell] / denom)
-        a_star = int(np.argmax(marginal[i]))
-        a_conf = int(np.argmax(naive))
-        gaps.append(float(marginal[i, a_star] - marginal[i, a_conf]))
-    return float(max(gaps))
+    greedy_onehot = np.argmax(cells, axis=-1)[..., None] == np.arange(cells.shape[-1])
+    mass = gt.p_x2_given_x1[..., None] * greedy_onehot
+    seen = mass.sum(axis=1)
+    naive = np.divide((mass * cells).sum(axis=1), seen, out=marginal.copy(), where=seen > 0)
+    a_conf = np.argmax(naive, axis=-1)[:, None]
+    return float((marginal.max(axis=-1, keepdims=True) - np.take_along_axis(marginal, a_conf, axis=-1)).max())
+
+
+def _check_draw(seed, max_rounds) -> None:
+    for name, value, low in (("seed", seed, 0), ("max_rounds", max_rounds, 1)):
+        if not _is_count(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def make_default_ground_truth(
@@ -192,6 +191,7 @@ def make_default_ground_truth(
     max_rounds : int
         Rejection budget; exceeding it raises ``RuntimeError``.
     """
+    _check_draw(seed, max_rounds)
     if not 0.0 <= min_gap <= 0.2:
         raise ValueError("min_gap must lie in [0, 0.2]")
     rng = np.random.default_rng(seed)
@@ -232,6 +232,7 @@ def make_separable_ground_truth(
     finite-sample fits then reproduce the argmaxes instead of sitting on
     ties.  Requires a spec without a decision axis.
     """
+    _check_draw(seed, max_rounds)
     if spec.n_decisions is not None:
         raise ValueError("separable environments are defined for single-decision specs")
     if not 0.0 <= min_sep <= 0.2:
@@ -271,53 +272,47 @@ def make_separable_ground_truth(
     )
 
 
-def _check_policy(gt: GroundTruth, policy: Policy) -> None:
-    if policy.spec != gt.spec:
+def policy_value(gt: GroundTruth, policy: Policy, reward) -> float:
+    """Exact expected reward of a policy: ``sum p(x1, x2) pi(cell | x1, x2) reward[x1, x2, cell]``.
+
+    ``reward`` has the spec's cell shape.  Every exact expectation of the
+    package is this one enumeration over the covariate distribution.
+    """
+    spec = gt.spec
+    if policy.spec != spec:
         raise ValueError("policy spec does not match the environment spec")
+    if np.shape(reward) != spec.cell_shape:
+        raise ValueError(f"reward must have shape {spec.cell_shape}")
+    cells = np.reshape(reward, (spec.k1, spec.k2, -1))
+    return float(np.einsum("ij,ijc,ijc->", gt.covariate_weights, policy.cell_probs(), cells))
 
 
 def expected_policy_ctr(gt: GroundTruth, policy: Policy) -> float:
     """Exact CTR of a policy, by enumeration over all cells."""
-    _check_policy(gt, policy)
-    return float(
-        np.einsum("ij,ijc,ijc->", gt.covariate_weights, policy.cell_probs(), _click_cells(gt))
-    )
+    return policy_value(gt, policy, sigmoid(gt.click_logit))
 
 
 def expected_policy_click_sale_rate(gt: GroundTruth, policy: Policy) -> float:
     """Exact rate of click-then-sale events under a policy."""
-    _check_policy(gt, policy)
     if gt.sale_logit is None:
         raise ValueError("environment has no sale mechanism")
     if gt.spec.n_decisions is not None:
         raise ValueError("click-then-sale rate is defined for single-decision environments")
-    joint = sigmoid(gt.click_logit) * sigmoid(gt.sale_logit)
-    return float(np.einsum("ij,ija,ija->", gt.covariate_weights, policy.probs, joint))
+    return policy_value(gt, policy, sigmoid(gt.click_logit) * sigmoid(gt.sale_logit))
 
 
 def oracle_policy(gt: GroundTruth, visibility) -> Policy:
     """Best deterministic policy at a given covariate visibility.
 
-    ``visibility`` is a subset of ``("x1", "x2")``.  The oracle ranks
-    action cells by exact interventional CTR conditioned on the visible
-    covariates and puts all mass on the argmax (lowest index on ties).
+    ``visibility`` is a subset of ``("x1", "x2")``.  The oracle ranks the
+    action cells of each visible context by their click mass
+    ``sum p(x1, x2) sigmoid(logit)`` over the hidden covariates, which is
+    the exact interventional CTR conditioned on that context times its
+    probability, and puts all mass on the argmax (lowest index on ties, so
+    cell 0 in a context of zero mass).
     """
-    cells = _click_cells(gt)
-    spec = gt.spec
-    vis = tuple(visibility)
-    if vis == ("x1", "x2"):
-        best = np.argmax(cells, axis=-1)
-    elif vis == ("x1",):
-        best = np.argmax(marginal_click_prob(gt), axis=-1)[:, None]
-        best = np.broadcast_to(best, (spec.k1, spec.k2))
-    elif vis == ("x2",):
-        w = gt.covariate_weights
-        p_x1_given_x2 = w / w.sum(axis=0, keepdims=True)
-        score = np.einsum("ij,ijc->jc", p_x1_given_x2, cells)
-        best = np.broadcast_to(np.argmax(score, axis=-1)[None, :], (spec.k1, spec.k2))
-    elif vis == ():
-        score = np.einsum("ij,ijc->c", gt.covariate_weights, cells)
-        best = np.full((spec.k1, spec.k2), np.argmax(score))
-    else:
-        raise ValueError(f"visibility must be a canonical subset of ('x1', 'x2'), got {vis!r}")
-    return greedy_policy(spec, best, vis)
+    vis = _canonical_subset(visibility, COVARIATE_FACTORS, "covariate")
+    hidden = tuple(axis for axis, name in enumerate(COVARIATE_FACTORS) if name not in vis)
+    mass = (gt.covariate_weights[..., None] * _click_cells(gt)).sum(axis=hidden, keepdims=True)
+    best = np.broadcast_to(np.argmax(mass, axis=-1), (gt.spec.k1, gt.spec.k2))
+    return greedy_policy(gt.spec, best, vis)

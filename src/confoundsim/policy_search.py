@@ -118,6 +118,9 @@ def _draw_columns(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return (cdf[:, :-1].T.take(rows, axis=1) < u).sum(axis=0)
 
 
+# Not environment.policy_value: multiplying the factors inside one four-operand
+# einsum rounds differently from the three-operand one on the joint table, and
+# this value reaches the search trace that artifacts record.
 def _objective(inputs: _SearchInputs, action_logits: np.ndarray, decision_logits: np.ndarray) -> float:
     pi_a = softmax_rows(action_logits)[inputs.grid_a]
     pi_d = softmax_rows(decision_logits)[inputs.grid_d]

@@ -30,6 +30,7 @@ from .environment import (
     expected_policy_ctr,
     make_default_ground_truth,
     oracle_policy,
+    policy_value,
 )
 from .features import CategoricalSpec, FeatureSpec, _covariate_union, context_count
 from .glm import (
@@ -559,21 +560,12 @@ def scenario_click_sale(
     oracle_best = np.argmax(sigmoid(gt.sale_logit) * sigmoid(gt.click_logit), axis=-1)
     oracle = greedy_policy(cfg.spec, oracle_best, ("x1", "x2"))
     entries = [
-        ComparisonEntry(
-            variant="mismatched",
-            value=expected_policy_click_sale_rate(gt, mismatched),
-            detail=f"sale:{'+'.join(x_prime) or 'none'}|click:{'+'.join(x_dprime) or 'none'}",
-        ),
-        ComparisonEntry(
-            variant="full",
-            value=expected_policy_click_sale_rate(gt, full),
-            detail="sale:x1+x2|click:x1+x2",
-        ),
-        ComparisonEntry(
-            variant="oracle",
-            value=expected_policy_click_sale_rate(gt, oracle),
-            detail="true mechanism",
-        ),
+        ComparisonEntry(variant, expected_policy_click_sale_rate(gt, pol), detail=detail)
+        for variant, pol, detail in (
+            ("mismatched", mismatched, f"sale:{'+'.join(x_prime) or 'none'}|click:{'+'.join(x_dprime) or 'none'}"),
+            ("full", full, "sale:x1+x2|click:x1+x2"),
+            ("oracle", oracle, "true mechanism"),
+        )
     ]
     return ClickSaleResult(
         gt=gt,
@@ -651,25 +643,13 @@ def scenario_two_decision(
     reinforce_pol = to_joint(final_params)
 
     table = prediction_table(joint_model)
-    weights = gt.covariate_weights
-
-    def model_value(pol: Policy) -> float:
-        return float(np.einsum("ij,ijad,ijad->", weights, pol.probs, table))
-
     entries = [
-        ComparisonEntry("joint_argmax", expected_policy_ctr(gt, joint_pol), model_value(joint_pol), "joint model over (a, d)"),
-        ComparisonEntry(
-            "independent_factored",
-            expected_policy_ctr(gt, independent_pol),
-            model_value(independent_pol),
-            f"a:{'+'.join(x_prime) or 'none'}|d:{'+'.join(x_dprime) or 'none'}",
-        ),
-        ComparisonEntry(
-            "reinforce_factored",
-            expected_policy_ctr(gt, reinforce_pol),
-            model_value(reinforce_pol),
-            "optimised against the joint model",
-        ),
+        ComparisonEntry(variant, expected_policy_ctr(gt, pol), policy_value(gt, pol, table), detail)
+        for variant, pol, detail in (
+            ("joint_argmax", joint_pol, "joint model over (a, d)"),
+            ("independent_factored", independent_pol, f"a:{'+'.join(x_prime) or 'none'}|d:{'+'.join(x_dprime) or 'none'}"),
+            ("reinforce_factored", reinforce_pol, "optimised against the joint model"),
+        )
     ]
     return TwoDecisionResult(
         gt=gt,

@@ -18,7 +18,10 @@ It also keeps the point click and sale probabilities of an environment,
 a one-context ``rng.choice`` action draw, the covariate draw
 ``sample_context`` with its capped inverse-CDF count, and the analytic
 gradient of the factored-policy objective, ``exact_gradient``, which only
-tests use.
+tests use.  The exact policy value, the visibility oracle and the
+confounding gap are recomputed by nested loops over every context and
+cell (``enum_policy_value``, ``enum_oracle_policy``,
+``enum_confounding_gap``) instead of one einsum or one marginalisation.
 Tests freeze oracle outputs as literals wherever the value is a single
 number, so a regression in the oracle itself cannot mask a regression
 in the library.
@@ -305,6 +308,73 @@ def enum_click_sale_rate(gt, probs) -> float:
                     * capped_sigmoid(gt.sale_logit[i, j, a])
                 )
     return total
+
+
+def enum_policy_value(gt, probs, reward) -> float:
+    """Expected reward ``sum p(x1, x2) pi(cell | x1, x2) reward[x1, x2, cell]`` by nested loops."""
+    total = 0.0
+    for i in range(gt.spec.k1):
+        for j in range(gt.spec.k2):
+            w = float(gt.p_x1[i]) * float(gt.p_x2_given_x1[i, j])
+            for cell in itertools.product(*(range(n) for n in gt.spec.cell_shape[2:])):
+                total += w * float(probs[i, j][cell]) * float(reward[i, j][cell])
+    return total
+
+
+def _click_list(gt, i, j) -> list:
+    """Capped click probabilities of context ``(i, j)`` in flat action-cell order."""
+    return [capped_sigmoid(v) for v in np.ravel(gt.click_logit[i, j]).tolist()]
+
+
+def _first_argmax(values) -> int:
+    best = 0
+    for c, v in enumerate(values):
+        if v > values[best]:
+            best = c
+    return best
+
+
+def enum_oracle_policy(gt, visibility) -> list:
+    """Best flat action cell per ``(x1, x2)``, as nested lists, for a visibility.
+
+    Each visible context scores every cell by ``p(x1, x2) sigmoid(logit)``
+    summed over the contexts that share its visible covariates, and takes
+    the lowest-index argmax.
+    """
+    k1, k2 = gt.spec.k1, gt.spec.k2
+    best = [[0] * k2 for _ in range(k1)]
+    for i in range(k1):
+        for j in range(k2):
+            score = [0.0] * gt.spec.action_cells
+            for p in range(k1):
+                for q in range(k2):
+                    if ("x1" in visibility and p != i) or ("x2" in visibility and q != j):
+                        continue
+                    w = float(gt.p_x1[p]) * float(gt.p_x2_given_x1[p, q])
+                    for c, click in enumerate(_click_list(gt, p, q)):
+                        score[c] += w * click
+            best[i][j] = _first_argmax(score)
+    return best
+
+
+def enum_confounding_gap(gt) -> float:
+    """Confounding gap by loops: per x1, the interventional best cell against
+    the best cell of the naive estimate an x2-aware greedy log implies."""
+    gaps = []
+    for i in range(gt.spec.k1):
+        w = [float(v) for v in gt.p_x2_given_x1[i]]
+        clicks = [_click_list(gt, i, j) for j in range(gt.spec.k2)]
+        cells = range(gt.spec.action_cells)
+        marginal = [sum(w[j] * clicks[j][c] for j in range(gt.spec.k2)) for c in cells]
+        greedy = [_first_argmax(row) for row in clicks]
+        naive = list(marginal)
+        for c in cells:
+            chosen = [j for j in range(gt.spec.k2) if greedy[j] == c]
+            denom = sum(w[j] for j in chosen)
+            if denom > 0:
+                naive[c] = sum(w[j] * clicks[j][c] for j in chosen) / denom
+        gaps.append(max(marginal) - marginal[_first_argmax(naive)])
+    return max(gaps)
 
 
 def enum_factored_objective(table, weights, pi_action, pi_decision, grid_a, grid_d) -> float:

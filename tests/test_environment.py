@@ -1,5 +1,7 @@
 """Ground-truth environment tests: construction, gap metric, exact oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,15 @@ from confoundsim.environment import (
     expected_policy_click_sale_rate,
     expected_policy_ctr,
     oracle_policy,
+    policy_value,
 )
 from confoundsim.policy import Policy, uniform_policy
 from oracles import (
     enum_click_sale_rate,
+    enum_confounding_gap,
+    enum_oracle_policy,
     enum_policy_ctr,
+    enum_policy_value,
     sample_action,
     sample_context,
     true_click_prob,
@@ -23,6 +29,7 @@ from oracles import (
 
 SPEC = CategoricalSpec(k1=5, k2=5, n_actions=10)
 SMALL = CategoricalSpec(k1=2, k2=2, n_actions=2)
+TWO_DECISION = CategoricalSpec(k1=3, k2=4, n_actions=3, n_decisions=2)
 
 # Frozen hand-instance values (see oracles.py for the computation route).
 HAND_GAP = 0.3397460259384324
@@ -92,6 +99,16 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="confounding_gap"):
             make_default_ground_truth(SPEC, seed=6, min_gap=0.2, max_rounds=1)
 
+    @pytest.mark.parametrize("make", [make_default_ground_truth, make_separable_ground_truth])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": True}, {"seed": 2.5}, {"seed": -1}, {"seed": 0, "max_rounds": 2.5}, {"seed": 0, "max_rounds": 0}],
+        ids=["seed-bool", "seed-float", "seed-negative", "rounds-float", "rounds-zero"],
+    )
+    def test_bad_seed_or_budget_rejected(self, make, kwargs):
+        with pytest.raises(ValueError, match="seed|max_rounds"):
+            make(SPEC, **kwargs)
+
     def test_sales_optional(self):
         gt = make_default_ground_truth(SPEC, seed=0, with_sales=True)
         assert gt.sale_logit is not None
@@ -135,6 +152,18 @@ class TestConfoundingGap:
         for seed in range(5):
             gt = make_default_ground_truth(SPEC, seed=seed)
             assert confounding_gap(gt) >= 0.0
+
+    @pytest.mark.parametrize("spec", [SPEC, SMALL, TWO_DECISION], ids=["default", "small", "two-decision"])
+    def test_matches_loop_enumeration(self, spec):
+        rng = np.random.default_rng(spec.action_cells)
+        for _ in range(40):
+            gt = GroundTruth(
+                spec=spec,
+                p_x1=rng.dirichlet(np.ones(spec.k1)),
+                p_x2_given_x1=rng.dirichlet(np.ones(spec.k2), size=spec.k1),
+                click_logit=rng.uniform(-2, 2, size=spec.cell_shape),
+            )
+            assert confounding_gap(gt) == pytest.approx(enum_confounding_gap(gt), abs=1e-12)
 
 
 class TestSampling:
@@ -246,6 +275,21 @@ class TestExpectedCtr:
         with pytest.raises(ValueError):
             expected_policy_ctr(gt, uniform_policy(SMALL))
 
+    def test_policy_value_matches_loop_enumeration(self):
+        gt = make_default_ground_truth(TWO_DECISION, seed=3)
+        rng = np.random.default_rng(4)
+        reward = rng.uniform(-1.0, 1.0, size=TWO_DECISION.cell_shape)
+        probs = rng.dirichlet(np.ones(TWO_DECISION.action_cells), size=(3, 4)).reshape(TWO_DECISION.cell_shape)
+        pol = Policy(spec=TWO_DECISION, probs=probs, visibility=("x1", "x2"))
+        assert policy_value(gt, pol, reward) == pytest.approx(enum_policy_value(gt, probs, reward), abs=1e-12)
+
+    def test_policy_value_rejects_mismatches(self):
+        gt = make_default_ground_truth(TWO_DECISION, seed=3)
+        with pytest.raises(ValueError, match="spec"):
+            policy_value(gt, uniform_policy(SPEC), np.zeros(SPEC.cell_shape))
+        with pytest.raises(ValueError, match="reward"):
+            policy_value(gt, uniform_policy(TWO_DECISION), np.zeros((3, 4, 6)))
+
     def test_click_sale_rate_matches_enumeration(self):
         gt = make_default_ground_truth(SPEC, seed=6, with_sales=True)
         pol = uniform_policy(SPEC)
@@ -269,23 +313,43 @@ class TestOraclePolicy:
         blind = oracle_policy(flat, ("x1",))
         np.testing.assert_array_equal(full.probs, blind.probs)
 
-    def test_hand_argmax(self):
+    @pytest.mark.parametrize("aware_vis", [("x1", "x2"), ("x2", "x1")], ids=["canonical", "reversed"])
+    def test_hand_argmax(self, aware_vis):
         pol = oracle_policy(hand_gap_truth(), ("x1",))
         assert np.argmax(pol.probs[0, 0]) == 0
-        aware = oracle_policy(hand_gap_truth(), ("x1", "x2"))
+        aware = oracle_policy(hand_gap_truth(), aware_vis)
+        assert aware.visibility == ("x1", "x2")
         assert np.argmax(aware.probs[0, 0]) == 0
         assert np.argmax(aware.probs[0, 1]) == 1
 
-    def test_tie_breaks_to_lowest_index(self):
+    @pytest.mark.parametrize(
+        "p_x2_given_x1",
+        [np.full((2, 2), 0.5), np.array([[1.0, 0.0], [1.0, 0.0]])],
+        ids=["uniform", "zero-mass-x2"],
+    )
+    def test_tie_breaks_to_lowest_index(self, p_x2_given_x1):
         gt = GroundTruth(
             spec=SMALL,
             p_x1=np.array([0.5, 0.5]),
-            p_x2_given_x1=np.full((2, 2), 0.5),
+            p_x2_given_x1=p_x2_given_x1,
             click_logit=np.zeros((2, 2, 2)),
         )
         for vis in (("x1", "x2"), ("x1",), ("x2",), ()):
-            pol = oracle_policy(gt, vis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pol = oracle_policy(gt, vis)
             np.testing.assert_allclose(pol.probs[..., 0], 1.0)
+
+    @pytest.mark.parametrize("spec", [SPEC, TWO_DECISION], ids=["default", "two-decision"])
+    def test_matches_loop_enumeration(self, spec):
+        for seed in range(4):
+            gt = make_default_ground_truth(spec, seed=seed)
+            for vis in (("x1", "x2"), ("x1",), ("x2",), ()):
+                pol = oracle_policy(gt, vis)
+                assert pol.visibility == vis
+                best = np.argmax(pol.cell_probs(), axis=-1)
+                assert best.tolist() == enum_oracle_policy(gt, vis)
+                np.testing.assert_array_equal(pol.cell_probs().max(axis=-1), 1.0)
 
     def test_information_ordering(self):
         """More visibility never hurts the exact oracle."""
@@ -299,10 +363,11 @@ class TestOraclePolicy:
             assert x1_only >= blind - 1e-12
             assert blind >= uniform - 1e-12
 
-    def test_unknown_visibility_rejected(self):
+    @pytest.mark.parametrize("vis", [("x3",), ("x1", "x1")], ids=["unknown", "duplicate"])
+    def test_unknown_visibility_rejected(self, vis):
         gt = make_default_ground_truth(SPEC, seed=0)
         with pytest.raises(ValueError):
-            oracle_policy(gt, ("x3",))
+            oracle_policy(gt, vis)
 
 
 class TestSeparable:
