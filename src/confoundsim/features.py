@@ -149,29 +149,17 @@ def context_count(included, spec: CategoricalSpec) -> int:
 def context_index(included, spec: CategoricalSpec, x1, x2):
     """Mixed-radix index of the visible covariate context.
 
-    Accepts scalars or equally shaped integer arrays; covariates outside
-    ``included`` are ignored, so models blind to a factor are invariant to it.
+    Accepts scalars or integer arrays, broadcast against ``x1``; covariates
+    outside ``included`` are ignored, so models blind to a factor are invariant to it.
     """
     included = _canonical_subset(included, COVARIATE_FACTORS, "covariate")
-    values = {"x1": x1, "x2": x2}
-    idx = None
-    for name in included:
-        card = spec.cardinality(name)
-        v = np.asarray(values[name])
-        if np.any(v < 0) or np.any(v >= card):
-            raise ValueError(f"{name} out of range [0, {card})")
-        idx = v if idx is None else idx * card + v
-    if idx is None:
-        idx = np.zeros_like(np.asarray(x1))
-    if np.ndim(idx) == 0:
-        return int(idx)
-    return idx.astype(np.int64)
+    return _mixed_radix(spec, included, {"x1": x1, "x2": x2})
 
 
 def dim(feature_spec: FeatureSpec) -> int:
     """Length of the one-hot cross-feature vector."""
-    size = context_count(feature_spec.included, feature_spec.spec)
-    for name in feature_spec.action_factors:
+    size = 1
+    for name in feature_spec.factors:
         size *= feature_spec.spec.cardinality(name)
     return size
 
@@ -183,8 +171,8 @@ def encode(feature_spec: FeatureSpec, x1, x2, a, d=None):
     ----------
     feature_spec : FeatureSpec
     x1, x2, a, d : int or ndarray
-        Factor values; ``d`` is required exactly when ``'d'`` is one of the
-        action factors.  Scalars give an ``int``; arrays give an int64 array.
+        Factor values, broadcast against ``x1``; ``d`` is required exactly when
+        ``'d'`` is an action factor.  Scalars give an ``int``; arrays an int64 array.
 
     Returns
     -------
@@ -192,10 +180,15 @@ def encode(feature_spec: FeatureSpec, x1, x2, a, d=None):
         Mixed-radix index, most-significant factor first in the canonical
         order ``(x1, x2, a, d)`` restricted to the selected factors.
     """
-    spec = feature_spec.spec
-    idx = context_index(feature_spec.included, spec, x1, x2)
-    values = {"a": a, "d": d}
-    for name in feature_spec.action_factors:
+    return _mixed_radix(feature_spec.spec, feature_spec.factors, {"x1": x1, "x2": x2, "a": a, "d": d})
+
+
+def _mixed_radix(spec: CategoricalSpec, names, values: dict):
+    """Mixed-radix index of the factors ``names`` (canonical order, most
+    significant first) taking ``values[name]``, accumulated in int64 from
+    zeros of ``x1``'s shape: an ``int`` for scalar inputs."""
+    idx = np.zeros(np.shape(values["x1"]), dtype=np.int64)
+    for name in names:
         card = spec.cardinality(name)
         v = values[name]
         if v is None:
@@ -203,7 +196,5 @@ def encode(feature_spec: FeatureSpec, x1, x2, a, d=None):
         v = np.asarray(v)
         if np.any(v < 0) or np.any(v >= card):
             raise ValueError(f"{name} out of range [0, {card})")
-        idx = np.asarray(idx) * card + v
-    if np.ndim(idx) == 0:
-        return int(idx)
-    return idx.astype(np.int64)
+        idx = idx * card + v
+    return int(idx) if np.ndim(idx) == 0 else idx.astype(np.int64, copy=False)

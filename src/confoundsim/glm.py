@@ -117,28 +117,19 @@ class Tally(NamedTuple):
 def tally(log: Log, spec: CategoricalSpec) -> Tally:
     """Count impressions, clicks and clicked sales per cell in one ``bincount``.
 
-    Each row lands in bin ``3 * cell + outcome``, with outcome 0 for no
-    click, 1 for a click without a sale and 2 for a clicked sale.  Every
-    factor of every row must lie in range, including factors a model fit
-    on the tally may not see.
+    Each row lands in bin ``3 * cell + outcome``, with ``cell`` its :func:`encode`
+    index over the full grid and outcome 0 for no click, 1 for a click without a
+    sale and 2 for a clicked sale.  Every factor of every row must lie in range,
+    including factors a model fit on the tally may not see.
     """
-    factors = [("x1", log.x1, spec.k1), ("x2", log.x2, spec.k2), ("a", log.a, spec.n_actions)]
-    if spec.n_decisions is not None and log.d is not None:
-        factors.append(("d", log.d, spec.n_decisions))
     n = len(log)
     if n and (log.c.min() < 0 or log.c.max() > 1):
         raise ValueError("click outcomes must be 0 or 1")
-    idx = np.zeros(n, dtype=np.int32)
-    for name, col, card in factors:
-        if n and (col.min() < 0 or col.max() >= card):
-            raise ValueError(f"{name} out of range [0, {card})")
-        idx *= card
-        idx += col
-    idx *= 3
-    idx += log.c
+    actions = ACTION_FACTORS if spec.n_decisions is not None and log.d is not None else ("a",)
+    idx = encode(FeatureSpec(COVARIATE_FACTORS, actions, spec), log.x1, log.x2, log.a, log.d) * 3 + log.c
     if log.s is not None:
         idx += log.s == 1
-    shape = tuple(card for _, _, card in factors)
+    shape = spec.cell_shape[: 2 + len(actions)]
     bins = np.bincount(idx, minlength=3 * math.prod(shape)).reshape(shape + (3,))
     # Rows are day-ordered, so the first and last rows bound the days.
     return _bins_tally(bins, log.s is not None, (int(log.day[0]), int(log.day[-1])) if n else None)

@@ -69,14 +69,14 @@ class Log:
     arm: np.ndarray | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            col = getattr(self, f.name)
+            # A required column has no default; an optional one defaults to None.
+            if col is None and f.default is not None:
+                raise ValueError(f"column {f.name!r} is required, got None")
+            if col is not None and len(col) != len(self.day):
+                raise ValueError(f"column {f.name!r} length mismatch")
         n = len(self.day)
-        for name in ("x1", "x2", "a", "propensity", "c"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name!r} length mismatch")
-        for name in ("d", "s", "arm"):
-            col = getattr(self, name)
-            if col is not None and len(col) != n:
-                raise ValueError(f"column {name!r} length mismatch")
         # Each check runs over blocks of VALIDATE_ROWS rows, so its
         # temporaries stay small however long the log is; the day check
         # reads one row past its block to compare across block edges, and
@@ -103,17 +103,7 @@ class Log:
 
     def _take(self, mask: np.ndarray) -> "Log":
         take = lambda col: None if col is None else col[mask]
-        return Log(
-            day=self.day[mask],
-            x1=self.x1[mask],
-            x2=self.x2[mask],
-            a=self.a[mask],
-            propensity=self.propensity[mask],
-            c=self.c[mask],
-            d=take(self.d),
-            s=take(self.s),
-            arm=take(self.arm),
-        )
+        return Log(**{f.name: take(getattr(self, f.name)) for f in fields(self)})
 
     def day_slice(self, day: int) -> "Log":
         """Rows logged on exactly ``day`` (contiguous because rows are day-ordered)."""
@@ -122,6 +112,8 @@ class Log:
         return self._take(slice(lo, hi))
 
     def arm_slice(self, arm: str) -> "Log":
+        if arm not in ARM_CODES:
+            raise ValueError(f"unknown arm {arm!r}; expected one of {tuple(ARM_CODES)}")
         if self.arm is None:
             raise ValueError("log has no arm column")
         return self._take(self.arm == ARM_CODES[arm])
@@ -142,17 +134,7 @@ class Log:
                 raise ValueError(f"column {name!r} present in some parts only")
             return np.concatenate(cols)
 
-        return Log(
-            day=np.concatenate([p.day for p in parts]),
-            x1=np.concatenate([p.x1 for p in parts]),
-            x2=np.concatenate([p.x2 for p in parts]),
-            a=np.concatenate([p.a for p in parts]),
-            propensity=np.concatenate([p.propensity for p in parts]),
-            c=np.concatenate([p.c for p in parts]),
-            d=cat("d"),
-            s=cat("s"),
-            arm=cat("arm"),
-        )
+        return Log(**{f.name: cat(f.name) for f in fields(Log)})
 
     def to_ndjson(self, fh) -> None:
         """Write one JSON object per interaction, in log order.

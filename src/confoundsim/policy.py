@@ -17,7 +17,7 @@ import numpy as np
 from .features import (CategoricalSpec, _canonical_subset, _covariate_union, COVARIATE_FACTORS,
                        context_count, context_index)
 from .glm import FittedModel, prediction_table
-from .numerics import PROB_ATOL, softmax_rows
+from .numerics import PROB_ATOL, _is_real, softmax_rows
 
 __all__ = [
     "FactoredPolicyParams",
@@ -105,7 +105,7 @@ def epsilon_greedy(model: FittedModel, epsilon: float) -> Policy:
     ``1 - epsilon + epsilon / cells``; every other cell ``epsilon / cells``.
     Visibility is inherited from the model's included covariates.
     """
-    if not 0.0 <= epsilon <= 1.0:
+    if not _is_real(epsilon) or not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     spec = model.feature_spec.spec
     best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)

@@ -50,12 +50,11 @@ from .streams import UNIFORMS_PER_ROW, DayStream
 __all__ = [
     "ABResult",
     "CHUNK_ROWS",
-    "ClickSaleResult",
     "ComparisonEntry",
+    "ComparisonResult",
     "DayReport",
     "ScenarioConfig",
     "ScenarioResult",
-    "TwoDecisionResult",
     "default_two_decision_search",
     "run_day",
     "scenario_ab_test",
@@ -169,32 +168,23 @@ class ABResult:
 
 
 @dataclass
-class ClickSaleResult:
+class ComparisonResult:
+    """A comparison study: its environment, covariate views, exploration
+    day and one entry per policy variant; ``final_params`` holds the
+    two-decision study's searched factored policy."""
+
     gt: GroundTruth
     x_prime: tuple
     x_dprime: tuple
     log_report: DayReport
     entries: list
     log: Log
+    final_params: FactoredPolicyParams | None = None
 
     def value(self, variant: str) -> float:
         return next(e.value for e in self.entries if e.variant == variant)
 
-
-@dataclass
-class TwoDecisionResult:
-    gt: GroundTruth
-    x_prime: tuple
-    x_dprime: tuple
-    log_report: DayReport
-    entries: list
-    final_params: FactoredPolicyParams
-    log: Log
-
-    def value(self, variant: str) -> float:
-        return next(e.value for e in self.entries if e.variant == variant)
-
-    def model_value(self, variant: str) -> float:
+    def model_value(self, variant: str) -> float | None:
         return next(e.model_value for e in self.entries if e.variant == variant)
 
 
@@ -357,6 +347,8 @@ def run_day(
     # The log's day column is int32.
     if not _is_count(day) or not 0 <= day < 2**31:
         raise ValueError(f"day must be an integer in [0, 2**31), got {day!r}")
+    if arm not in (None, *ARM_CODES):
+        raise ValueError(f"arm must be None or one of {tuple(ARM_CODES)}, got {arm!r}")
     chunk_rows = CHUNK_ROWS
     starts = range(0, n, chunk_rows)
     stripes = _worker_count(workers, len(starts))
@@ -520,12 +512,28 @@ def _ab_tests(cfg: ScenarioConfig, regimes, arm_b_features=("x1", "x2")) -> list
     return results
 
 
+def _exploration_day(cfg: ScenarioConfig, gt: GroundTruth | None, with_sales: bool = False):
+    """The environment of a comparison study and its uniform exploration day.
+
+    ``gt`` is drawn when None and must otherwise match ``cfg.spec``; with
+    ``with_sales`` it must carry a sale mechanism.  Both are checked before
+    any row is drawn.  Returns ``gt`` and the log, report and tally of day 0.
+    """
+    if gt is None:
+        gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap, with_sales=with_sales)
+    elif gt.spec != cfg.spec:
+        raise ValueError("gt.spec must match cfg.spec")
+    if with_sales and gt.sale_logit is None:
+        raise ValueError("click/sale study needs an environment with a sale mechanism")
+    return (gt, *run_day(gt, uniform_policy(cfg.spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)))
+
+
 def scenario_click_sale(
     cfg: ScenarioConfig,
     x_prime=("x1",),
     x_dprime=("x2",),
     gt: GroundTruth | None = None,
-) -> ClickSaleResult:
+) -> ComparisonResult:
     """Modularised click/sale sub-models with mismatched covariate views.
 
     One uniform exploration day is logged; a sale-given-click model is fit
@@ -539,15 +547,7 @@ def scenario_click_sale(
     """
     if cfg.spec.n_decisions is not None:
         raise ValueError("click/sale study is defined for single-decision specs")
-    if gt is None:
-        gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap, with_sales=True)
-    elif gt.spec != cfg.spec:
-        raise ValueError("gt.spec must match cfg.spec")
-    if gt.sale_logit is None:
-        raise ValueError("click/sale study needs an environment with a sale mechanism")
-    log, log_report, counts = run_day(
-        gt, uniform_policy(cfg.spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
-    )
+    gt, log, log_report, counts = _exploration_day(cfg, gt, with_sales=True)
 
     def product_policy(sale_feats, click_feats):
         sale_model = fit_counts(FeatureSpec(sale_feats, ("a",), cfg.spec), counts, TARGET_SALE_GIVEN_CLICK)
@@ -567,14 +567,7 @@ def scenario_click_sale(
             ("oracle", oracle, "true mechanism"),
         )
     ]
-    return ClickSaleResult(
-        gt=gt,
-        x_prime=tuple(x_prime),
-        x_dprime=tuple(x_dprime),
-        log_report=log_report,
-        entries=entries,
-        log=log,
-    )
+    return ComparisonResult(gt, tuple(x_prime), tuple(x_dprime), log_report, entries, log)
 
 
 def default_two_decision_search(seed: int, trace_path: str | None = None) -> SearchConfig:
@@ -593,7 +586,7 @@ def scenario_two_decision(
     x_dprime=("x2",),
     search: SearchConfig | None = None,
     gt: GroundTruth | None = None,
-) -> TwoDecisionResult:
+) -> ComparisonResult:
     """Two coupled decisions: joint model vs. independent vs. learned factored.
 
     Requires ``cfg.spec.n_decisions``.  On one uniform exploration day the
@@ -612,13 +605,7 @@ def scenario_two_decision(
     spec = cfg.spec
     if spec.n_decisions is None:
         raise ValueError("two-decision scenario requires a spec with n_decisions")
-    if gt is None:
-        gt = make_default_ground_truth(spec, cfg.seed, cfg.min_gap)
-    elif gt.spec != spec:
-        raise ValueError("gt.spec must match cfg.spec")
-    log, log_report, counts = run_day(
-        gt, uniform_policy(spec), cfg.samples_per_day, 0, DayStream(cfg.seed, 0, 0)
-    )
+    gt, log, log_report, counts = _exploration_day(cfg, gt)
     joint_model = fit_counts(FeatureSpec(("x1", "x2"), ("a", "d"), spec), counts, target=TARGET_CLICK)
     joint_pol = epsilon_greedy(joint_model, 0.0)
 
@@ -651,12 +638,4 @@ def scenario_two_decision(
             ("reinforce_factored", reinforce_pol, "optimised against the joint model"),
         )
     ]
-    return TwoDecisionResult(
-        gt=gt,
-        x_prime=tuple(x_prime),
-        x_dprime=tuple(x_dprime),
-        log_report=log_report,
-        entries=entries,
-        final_params=final_params,
-        log=log,
-    )
+    return ComparisonResult(gt, tuple(x_prime), tuple(x_dprime), log_report, entries, log, final_params)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from confoundsim import FittedModel
-from confoundsim.features import dim, encode
+from confoundsim.features import dim
 from confoundsim.glm import TARGET_CLICK, TARGET_SALE_GIVEN_CLICK, prediction_table
 from confoundsim.logs import ARM_LABELS
 from confoundsim.numerics import sigmoid, softmax_rows
@@ -687,9 +687,19 @@ def _training_arrays(log, feature_spec, target):
         outcome = rows.s.astype(np.float64)
     else:
         raise ValueError(f"target must be one of {(TARGET_CLICK, TARGET_SALE_GIVEN_CLICK)}")
-    d = rows.d if "d" in feature_spec.action_factors else None
-    idx = encode(feature_spec, rows.x1, rows.x2, rows.a, d)
-    return np.asarray(idx), outcome
+    # The cell index by its own loop, not the library's encode, which
+    # glm.tally shares: the two fit routes index cells independently.
+    values = {"x1": rows.x1, "x2": rows.x2, "a": rows.a, "d": rows.d}
+    idx = np.zeros(len(rows), dtype=np.int64)
+    for name in feature_spec.factors:
+        card = feature_spec.spec.cardinality(name)
+        col = values[name]
+        if col is None:
+            raise ValueError(f"action factor {name!r} is required by this feature spec")
+        if np.any((col < 0) | (col >= card)):
+            raise ValueError(f"{name} out of range [0, {card})")
+        idx = idx * card + col
+    return idx, outcome
 
 
 def fit_reference(log, feature_spec, target=TARGET_CLICK):

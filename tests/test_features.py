@@ -76,6 +76,16 @@ class TestEncode:
         fs = FeatureSpec(("x1",), ("a",), SPEC_5_5_10)
         assert hot_index(fs, 2, 0, 7) == hot_index(fs, 2, 4, 7)
 
+    @pytest.mark.parametrize("included", [(), ("x1",), ("x2",), ("x1", "x2")])
+    @pytest.mark.parametrize("action_factors", [("a",), ("d",), ("a", "d")])
+    def test_sparse_grids_broadcast_to_the_dense_encoding(self, included, action_factors):
+        spec = CategoricalSpec(k1=3, k2=4, n_actions=5, n_decisions=2)
+        fs = FeatureSpec(included, action_factors, spec)
+        sparse = encode(fs, *np.indices(spec.cell_shape, sparse=True))
+        dense = encode(fs, *np.indices(spec.cell_shape))
+        assert dense.dtype == np.int64 and dense.shape == spec.cell_shape
+        np.testing.assert_array_equal(np.broadcast_to(sparse, spec.cell_shape), dense)
+
     def test_out_of_range_rejected(self):
         fs = FeatureSpec(("x1",), ("a",), SPEC_5_5_10)
         with pytest.raises(ValueError):

@@ -133,6 +133,8 @@ class TestInvariants:
                 propensity=log.propensity,
                 c=log.c,
             )
+        with pytest.raises(ValueError, match="column 'x1' is required, got None"):
+            Log(day=log.day, x1=None, x2=log.x2, a=log.a, propensity=log.propensity, c=log.c)
 
     @pytest.mark.parametrize("row", [VALIDATE_ROWS - 1, VALIDATE_ROWS, 2 * VALIDATE_ROWS])
     def test_day_order_checked_across_validation_blocks(self, row):
@@ -176,6 +178,8 @@ class TestSlicing:
         assert all(interaction(log, i).arm == "A" for i in (2, 4))
         with pytest.raises(ValueError):
             small_log().arm_slice("A")
+        with pytest.raises(ValueError, match=r"unknown arm 'C'; expected one of \('', 'A', 'B'\)"):
+            log.arm_slice("C")
 
     def test_concat_round_trip(self):
         log = small_log()

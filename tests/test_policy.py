@@ -88,6 +88,12 @@ class TestEpsilonGreedy:
         with pytest.raises(ValueError):
             epsilon_greedy(model, 1.1)
 
+    # True would otherwise pass as 1 and deploy the uniform policy.
+    @pytest.mark.parametrize("epsilon", [True, "0.1"])
+    def test_non_real_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            epsilon_greedy(model_with(np.zeros(8)), epsilon)
+
     def test_visibility_copied_from_model(self):
         model = model_with(np.zeros(4), included=("x1",))
         pol = epsilon_greedy(model, 0.05)

@@ -196,6 +196,16 @@ class TestRunDay:
             run_day(gt, uniform_policy(SPEC), 10, day, DayStream(0, 0, 0))
         assert calls == []
 
+    def test_unknown_arm_rejected_before_any_draw(self, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+
+        def fail(self, *args):
+            raise AssertionError("uniforms drawn for a day with an unknown arm")
+
+        monkeypatch.setattr(DayStream, "uniforms", fail)
+        with pytest.raises(ValueError, match=r"arm must be None or one of \('', 'A', 'B'\), got 'C'"):
+            run_day(gt, uniform_policy(SPEC), 10, 0, DayStream(0, 0, 0), arm="C")
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_every_row_is_drawn_through_the_stream(self, workers, monkeypatch):
         gt = make_default_ground_truth(SPEC, seed=0)
@@ -745,6 +755,19 @@ class TestClickSale:
         with pytest.raises(ValueError, match="single-decision"):
             scenario_click_sale(ScenarioConfig(spec=two_decisions, samples_per_day=1000))
 
+    def test_bad_environment_rejected_before_the_exploration_day(self, monkeypatch):
+        cfg = ScenarioConfig(seed=0, samples_per_day=1000)
+        monkeypatch.setattr(confoundsim.scenarios, "run_day", never_run_day)
+        with pytest.raises(ValueError, match="sale mechanism"):
+            scenario_click_sale(cfg, gt=make_default_ground_truth(cfg.spec, 0, cfg.min_gap))
+        other = make_default_ground_truth(CategoricalSpec(k1=3, k2=3, n_actions=4), 0, with_sales=True)
+        with pytest.raises(ValueError, match="gt.spec must match"):
+            scenario_click_sale(cfg, gt=other)
+
+
+def never_run_day(*args, **kwargs):
+    raise AssertionError("run_day called before the study checked its environment")
+
 
 def separable_two_decision_truth():
     """Click logit additive in (a, d): the factored form is sufficient."""
@@ -790,6 +813,12 @@ class TestTwoDecision:
     def test_gt_spec_must_match(self):
         cfg = ScenarioConfig(spec=TWO_DECISION_SPEC, samples_per_day=1000)
         with pytest.raises(ValueError):
+            scenario_two_decision(cfg, gt=separable_two_decision_truth())
+
+    def test_mismatched_spec_rejected_before_the_exploration_day(self, monkeypatch):
+        cfg = ScenarioConfig(spec=TWO_DECISION_SPEC, samples_per_day=1000)
+        monkeypatch.setattr(confoundsim.scenarios, "run_day", never_run_day)
+        with pytest.raises(ValueError, match="gt.spec must match"):
             scenario_two_decision(cfg, gt=separable_two_decision_truth())
 
 
