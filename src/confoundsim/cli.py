@@ -22,9 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .causal import Dag, backdoor_admissible, backdoor_paths, format_path, parse_dag, unblocked_backdoor_path
-from .features import COVARIATE_FACTORS, CategoricalSpec
+from .features import COVARIATE_FACTORS, CategoricalSpec, _canonical_subset, _subset_text
 from .scenarios import (
-    DayReport,
     ScenarioConfig,
     _ab_tests,
     default_two_decision_search,
@@ -65,10 +64,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _subset_text(subset) -> str:
-    return "+".join(subset) if subset else "none"
-
-
 def _trained_text(span) -> str:
     if span is None:
         return ""
@@ -87,42 +82,21 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _report_row(scenario: str, regime: str, report: DayReport) -> dict:
-    return {
-        "scenario": scenario,
-        "regime": regime,
-        "arm": report.arm,
-        "day": report.day,
-        "samples": report.samples,
-        "empirical_ctr": report.empirical_ctr,
-        "binomial_se": report.binomial_se,
-        "expected_ctr": report.expected_ctr,
-        "oracle_ctr": report.oracle_ctr,
-        "regret": report.regret,
-        "features_used": "+".join(report.features_used),
-        "trained_on": _trained_text(report.model_trained_on),
-    }
-
-
-def _parse_subset(text: str) -> tuple:
+def _covariates(text: str) -> tuple:
+    """Value of ``--x-prime``/``--x-dprime``: covariates separated by commas,
+    in any case and order and possibly repeated, or 'none'."""
     cleaned = text.strip().lower()
-    if cleaned in ("", "none"):
-        return ()
-    names = []
-    for token in cleaned.split(","):
-        token = token.strip()
-        if token not in COVARIATE_FACTORS:
-            raise UsageError(
-                f"unknown covariate {token!r}; expected a comma-separated subset of "
-                f"{', '.join(COVARIATE_FACTORS)} or 'none'"
-            )
-        if token not in names:
-            names.append(token)
-    return tuple(sorted(names, key=COVARIATE_FACTORS.index))
+    names = () if cleaned in ("", "none") else dict.fromkeys(t.strip() for t in cleaned.split(","))
+    try:
+        return _canonical_subset(names, COVARIATE_FACTORS, "covariate")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _out_dir(args, name: str) -> Path:
-    return Path(args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs") / name
+    out = Path(args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs") / name
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
@@ -140,21 +114,28 @@ def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
     )
 
 
-def _emit(
-    args, scenario: str, cfg: ScenarioConfig, result, summary: dict, reports, entries=(), **config
-) -> Path:
+def _emit(args, scenario: str, cfg: ScenarioConfig, result, summary: dict, reports, entries=(), **config):
     """Write a finished scenario's artifact tree under ``--out/<scenario>``.
 
     ``reports`` are ``(regime, DayReport)`` pairs for ``reports.csv``;
     ``entries``, when given, become ``comparison.csv``.  ``summary.json``
     gets ``summary`` plus the scenario name, ``log.ndjson`` is written under
     ``--dump-log``, and ``manifest.json`` records the base configuration
-    extended by ``config``.  Returns the path of the main table.
+    extended by ``config``.  Ends by printing the path of the main table.
     """
     out = _out_dir(args, scenario)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts = {"reports": "reports.csv", "summary": "summary.json"}
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, [_report_row(scenario, regime, r) for regime, r in reports])
+    rows = [
+        {
+            **r.to_dict(),
+            "scenario": scenario,
+            "regime": regime,
+            "features_used": "+".join(r.features_used),
+            "trained_on": _trained_text(r.model_trained_on),
+        }
+        for regime, r in reports
+    ]
+    _write_csv(out / "reports.csv", REPORT_COLUMNS, rows)
     if entries:
         rows = [
             {
@@ -194,7 +175,7 @@ def _emit(
         "ground_truth_fingerprint": result.gt.fingerprint(),
     }
     _write_json(out / "manifest.json", manifest)
-    return out / artifacts.get("comparison", "reports.csv")
+    print(f"wrote {out / artifacts.get('comparison', 'reports.csv')}")
 
 
 def cmd_feature_engineering(args) -> int:
@@ -207,13 +188,12 @@ def cmd_feature_engineering(args) -> int:
         "dip_day3_vs_day1": (rate[1] - rate[3]) if 3 in rate and 1 in rate else None,
         "days": [r.to_dict() for r in result.reports],
     }
-    path = _emit(args, "feature_engineering", cfg, result, summary, [("", r) for r in result.reports])
     for r in result.reports:
         print(
             f"day {r.day}: expected_ctr {r.expected_ctr:.6f} empirical {r.empirical_ctr:.6f}"
             f" features {'+'.join(r.features_used) or '-'}"
         )
-    print(f"wrote {path}")
+    _emit(args, "feature_engineering", cfg, result, summary, [("", r) for r in result.reports])
     return 0
 
 
@@ -238,46 +218,36 @@ def cmd_ab_test(args) -> int:
             for regime, res in results.items()
         },
     }
-    reports = [(regime, r) for regime, res in results.items() for r in res.reports]
-    # Both regimes share one environment, and only a single regime may dump
-    # its log, so the last result speaks for the run.
-    path = _emit(
-        args, "ab_test", cfg, ran[-1], summary, reports,
-        ab_start_day=cfg.ab_start_day, regimes=sorted(results),
-    )
     for regime, series in sorted(summary["regimes"].items()):
         arm_a = " ".join(f"{v:.6f}" for v in series["arm_a_expected_ctr"])
         print(f"{regime} arm A expected_ctr by day: {arm_a}")
-    print(f"wrote {path}")
+    reports = [(regime, r) for regime, res in results.items() for r in res.reports]
+    # Both regimes share one environment, and only a single regime may dump
+    # its log, so the last result speaks for the run.
+    _emit(
+        args, "ab_test", cfg, ran[-1], summary, reports,
+        ab_start_day=cfg.ab_start_day, regimes=sorted(results),
+    )
     return 0
 
 
 def cmd_click_sale(args) -> int:
     cfg = _scenario_config(args)
-    x_prime = _parse_subset(args.x_prime)
-    x_dprime = _parse_subset(args.x_dprime)
-    result = scenario_click_sale(cfg, x_prime=x_prime, x_dprime=x_dprime)
+    result = scenario_click_sale(cfg, x_prime=args.x_prime, x_dprime=args.x_dprime)
     views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
     summary = {**views, "values": {e.variant: e.value for e in result.entries}}
-    path = _emit(args, "click_sale", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     for e in result.entries:
         print(f"{e.variant}: post-click sale rate {e.value:.6f} ({e.detail})")
-    print(f"wrote {path}")
+    _emit(args, "click_sale", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     return 0
 
 
 def cmd_two_decision(args) -> int:
     cfg = _scenario_config(args, n_decisions=args.decisions)
-    x_prime = _parse_subset(args.x_prime)
-    x_dprime = _parse_subset(args.x_dprime)
-    trace_path = None
-    if args.trace:
-        # The search writes its trace as it runs, so the directory comes first.
-        out = _out_dir(args, "two_decision")
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = str(out / "trace.csv")
+    # The search writes its trace as it runs, so the directory comes first.
+    trace_path = str(_out_dir(args, "two_decision") / "trace.csv") if args.trace else None
     search = default_two_decision_search(cfg.seed, trace_path=trace_path)
-    result = scenario_two_decision(cfg, x_prime=x_prime, x_dprime=x_dprime, search=search)
+    result = scenario_two_decision(cfg, x_prime=args.x_prime, x_dprime=args.x_dprime, search=search)
     views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
     summary = {
         **views,
@@ -286,10 +256,9 @@ def cmd_two_decision(args) -> int:
         "final_action_logits": result.final_params.action_logits.tolist(),
         "final_decision_logits": result.final_params.decision_logits.tolist(),
     }
-    path = _emit(args, "two_decision", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     for e in result.entries:
         print(f"{e.variant}: true {e.value:.6f} model {e.model_value:.6f}")
-    print(f"wrote {path}")
+    _emit(args, "two_decision", cfg, result, summary, [("", result.log_report)], result.entries, **views)
     return 0
 
 
@@ -380,15 +349,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ck = subs.add_parser("click-sale", help="modularised click/sale sub-models with covariate views")
     _add_common_flags(ck)
-    ck.add_argument("--x-prime", default="x1", help="sale model covariates (e.g. x1 or x1,x2 or none)")
-    ck.add_argument("--x-dprime", default="x2", help="click model covariates")
+    ck.add_argument(
+        "--x-prime", type=_covariates, default="x1", help="sale model covariates (e.g. x1 or x1,x2 or none)"
+    )
+    ck.add_argument("--x-dprime", type=_covariates, default="x2", help="click model covariates")
     ck.set_defaults(func=cmd_click_sale)
 
     td = subs.add_parser("two-decision", help="joint vs independent vs learned factored policies")
     _add_common_flags(td)
     td.add_argument("--decisions", type=int, default=2, help="cardinality of the second decision (default 2)")
-    td.add_argument("--x-prime", default="x1", help="action head covariates")
-    td.add_argument("--x-dprime", default="x2", help="decision head covariates")
+    td.add_argument("--x-prime", type=_covariates, default="x1", help="action head covariates")
+    td.add_argument("--x-dprime", type=_covariates, default="x2", help="decision head covariates")
     td.add_argument("--trace", action="store_true", help="write the optimisation trace CSV")
     td.set_defaults(func=cmd_two_decision)
 

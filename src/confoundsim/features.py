@@ -41,6 +41,11 @@ def _canonical_subset(subset, universe, label):
     return tuple(name for name in universe if name in subset)
 
 
+def _subset_text(subset) -> str:
+    """Text form of a covariate subset: ``"x1+x2"``, or ``"none"`` when empty."""
+    return "+".join(subset) or "none"
+
+
 def _covariate_union(*subsets) -> tuple:
     """Covariates named in any of ``subsets``, in canonical order."""
     return _canonical_subset(set().union(*subsets), COVARIATE_FACTORS, "covariate")
@@ -186,7 +191,8 @@ def encode(feature_spec: FeatureSpec, x1, x2, a, d=None):
 def _mixed_radix(spec: CategoricalSpec, names, values: dict):
     """Mixed-radix index of the factors ``names`` (canonical order, most
     significant first) taking ``values[name]``, accumulated in int64 from
-    zeros of ``x1``'s shape: an ``int`` for scalar inputs."""
+    zeros of ``x1``'s shape, in place unless a factor widens the shape:
+    an ``int`` for scalar inputs."""
     idx = np.zeros(np.shape(values["x1"]), dtype=np.int64)
     for name in names:
         card = spec.cardinality(name)
@@ -194,7 +200,12 @@ def _mixed_radix(spec: CategoricalSpec, names, values: dict):
         if v is None:
             raise ValueError(f"action factor {name!r} is required by this feature spec")
         v = np.asarray(v)
-        if np.any(v < 0) or np.any(v >= card):
+        if v.size and (v.min() < 0 or v.max() >= card):
             raise ValueError(f"{name} out of range [0, {card})")
-        idx = idx * card + v
-    return int(idx) if np.ndim(idx) == 0 else idx.astype(np.int64, copy=False)
+        if v.shape == idx.shape or v.ndim == 0:
+            idx *= card
+            # Cast as the final astype casts: integral float or uint64 values stay accepted.
+            np.add(idx, v, out=idx, casting="unsafe")
+        else:
+            idx = idx * card + v
+    return int(idx) if idx.ndim == 0 else idx.astype(np.int64, copy=False)

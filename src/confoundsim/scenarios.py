@@ -32,7 +32,7 @@ from .environment import (
     oracle_policy,
     policy_value,
 )
-from .features import CategoricalSpec, FeatureSpec, _covariate_union, context_count
+from .features import CategoricalSpec, FeatureSpec, _covariate_union, _subset_text, context_count
 from .glm import (
     TARGET_CLICK,
     TARGET_SALE_GIVEN_CLICK,
@@ -313,7 +313,8 @@ def run_day(
     workers: int | None = None,
     out: tuple | None = None,
 ):
-    """Simulate one day of traffic under a fixed policy.
+    """Simulate day ``day`` of traffic under a fixed policy, drawing from
+    ``stream``, whose own ``day`` must be the same.
 
     The day is generated in fixed-size chunks (:data:`CHUNK_ROWS`), each
     drawing its own counter range of ``stream``, so the log is identical
@@ -347,6 +348,8 @@ def run_day(
     # The log's day column is int32.
     if not _is_count(day) or not 0 <= day < 2**31:
         raise ValueError(f"day must be an integer in [0, 2**31), got {day!r}")
+    if stream.day != day:
+        raise ValueError(f"stream is day {stream.day}'s, so it cannot draw day {day}")
     if arm not in (None, *ARM_CODES):
         raise ValueError(f"arm must be None or one of {tuple(ARM_CODES)}, got {arm!r}")
     chunk_rows = CHUNK_ROWS
@@ -562,7 +565,7 @@ def scenario_click_sale(
     entries = [
         ComparisonEntry(variant, expected_policy_click_sale_rate(gt, pol), detail=detail)
         for variant, pol, detail in (
-            ("mismatched", mismatched, f"sale:{'+'.join(x_prime) or 'none'}|click:{'+'.join(x_dprime) or 'none'}"),
+            ("mismatched", mismatched, f"sale:{_subset_text(x_prime)}|click:{_subset_text(x_dprime)}"),
             ("full", full, "sale:x1+x2|click:x1+x2"),
             ("oracle", oracle, "true mechanism"),
         )
@@ -634,7 +637,7 @@ def scenario_two_decision(
         ComparisonEntry(variant, expected_policy_ctr(gt, pol), policy_value(gt, pol, table), detail)
         for variant, pol, detail in (
             ("joint_argmax", joint_pol, "joint model over (a, d)"),
-            ("independent_factored", independent_pol, f"a:{'+'.join(x_prime) or 'none'}|d:{'+'.join(x_dprime) or 'none'}"),
+            ("independent_factored", independent_pol, f"a:{_subset_text(x_prime)}|d:{_subset_text(x_dprime)}"),
             ("reinforce_factored", reinforce_pol, "optimised against the joint model"),
         )
     ]

@@ -213,22 +213,24 @@ class TestClickSale:
         assert variants == ["mismatched", "full", "oracle"]
         assert "post-click sale rate" in out
 
-    def test_covariate_subsets_round_trip(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "click-sale", "--out", str(tmp_path), *SMALL,
-            "--x-prime", "x2,x1", "--x-dprime", "none",
-        )
+    @pytest.mark.parametrize("flag", ["--x-prime", "--x-dprime"])
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("x2,x1", "x1+x2"), (" X2 , x1", "x1+x2"), ("x1,x1", "x1"), ("", "none"), ("none", "none")],
+    )
+    def test_covariate_subsets_round_trip(self, capsys, tmp_path, flag, text, expected):
+        code, _, _ = run(capsys, "click-sale", "--out", str(tmp_path), *SMALL, flag, text)
         assert code == 0
         summary = json.loads((tmp_path / "click_sale" / "summary.json").read_text())
-        assert summary["x_prime"] == "x1+x2"
-        assert summary["x_dprime"] == "none"
+        assert summary[flag[2:].replace("-", "_")] == expected
 
-    def test_unknown_covariate_is_a_usage_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "click-sale", "--out", str(tmp_path), *SMALL, "--x-prime", "x3"
-        )
+    @pytest.mark.parametrize("flag", ["--x-prime", "--x-dprime"])
+    @pytest.mark.parametrize("text", ["x3", "x1,", "x1,x3"])
+    def test_unknown_covariate_is_a_usage_error(self, capsys, tmp_path, flag, text):
+        code, _, err = run(capsys, "click-sale", "--out", str(tmp_path), *SMALL, flag, text)
         assert code == 2
         assert "unknown covariate" in err
+        assert not (tmp_path / "click_sale").exists()
 
 
 class TestTwoDecision:

@@ -196,6 +196,14 @@ class TestRunDay:
             run_day(gt, uniform_policy(SPEC), 10, day, DayStream(0, 0, 0))
         assert calls == []
 
+    def test_stream_of_another_day_rejected_before_any_draw(self, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        calls = []
+        monkeypatch.setattr(DayStream, "uniforms", lambda self, *args: calls.append(args))
+        with pytest.raises(ValueError, match="stream is day 0's, so it cannot draw day 3"):
+            run_day(gt, uniform_policy(SPEC), 10, 3, DayStream(0, 0, 0))
+        assert calls == []
+
     def test_unknown_arm_rejected_before_any_draw(self, monkeypatch):
         gt = make_default_ground_truth(SPEC, seed=0)
 
