@@ -90,7 +90,7 @@ def _covariates(text: str) -> tuple:
     try:
         return _canonical_subset(names, COVARIATE_FACTORS, "covariate")
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"{exc}; separate names with commas, or give 'none'") from None
 
 
 def _out_dir(args, name: str) -> Path:

@@ -190,10 +190,10 @@ def encode(feature_spec: FeatureSpec, x1, x2, a, d=None):
 
 def _mixed_radix(spec: CategoricalSpec, names, values: dict):
     """Mixed-radix index of the factors ``names`` (canonical order, most
-    significant first) taking ``values[name]``, accumulated in int64 from
-    zeros of ``x1``'s shape, in place unless a factor widens the shape:
-    an ``int`` for scalar inputs."""
-    idx = np.zeros(np.shape(values["x1"]), dtype=np.int64)
+    significant first) taking ``values[name]``, accumulated in place in int64
+    from zeros of the broadcast shape of ``x1`` and the named factors: an
+    ``int`` for scalar inputs."""
+    idx = np.zeros(np.broadcast(*(values[n] for n in ("x1", *names))).shape, np.int64)
     for name in names:
         card = spec.cardinality(name)
         v = values[name]
@@ -202,10 +202,7 @@ def _mixed_radix(spec: CategoricalSpec, names, values: dict):
         v = np.asarray(v)
         if v.size and (v.min() < 0 or v.max() >= card):
             raise ValueError(f"{name} out of range [0, {card})")
-        if v.shape == idx.shape or v.ndim == 0:
-            idx *= card
-            # Cast as the final astype casts: integral float or uint64 values stay accepted.
-            np.add(idx, v, out=idx, casting="unsafe")
-        else:
-            idx = idx * card + v
-    return int(idx) if idx.ndim == 0 else idx.astype(np.int64, copy=False)
+        idx *= card
+        # Cast unsafely so integral float or uint64 values index as integers.
+        np.add(idx, v, out=idx, casting="unsafe")
+    return int(idx) if idx.ndim == 0 else idx
