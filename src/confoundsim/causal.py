@@ -30,7 +30,7 @@ import numpy as np
 from .features import CategoricalSpec, encode
 from .glm import FittedModel, tally
 from .logs import Log
-from .numerics import sigmoid
+from .numerics import _check_probs, sigmoid
 
 __all__ = [
     "AdjustedEstimate",
@@ -288,9 +288,7 @@ class CovModel:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.p_x2_given_x1.shape != self.counts.shape or self.p_x2_given_x1.ndim != 2:
             raise ValueError("p_x2_given_x1 and counts must share a (k1, k2) shape")
-        rows = self.p_x2_given_x1.sum(axis=1)
-        if np.any(self.p_x2_given_x1 < 0) or np.any(np.abs(rows - 1.0) > 1e-9):
-            raise ValueError("rows of p_x2_given_x1 must be probability vectors")
+        _check_probs("p_x2_given_x1 rows", self.p_x2_given_x1)
 
 
 def fit_cov_model(log: Log, spec: CategoricalSpec) -> CovModel:

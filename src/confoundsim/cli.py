@@ -109,7 +109,7 @@ def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
         epsilon=args.epsilon,
         seed=args.seed,
         min_gap=args.min_gap,
-        ab_start_day=getattr(args, "ab_start_day", 2),
+        ab_start_day=getattr(args, "ab_start_day", ScenarioConfig.ab_start_day),
         days=args.days,
     )
 
@@ -302,19 +302,19 @@ def cmd_dag_check(args) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, days_default: int = 6):
-    sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    sub.add_argument("--k1", type=int, default=5, help="cardinality of x1 (default 5)")
-    sub.add_argument("--k2", type=int, default=5, help="cardinality of x2 (default 5)")
-    sub.add_argument("--actions", type=int, default=10, help="number of actions (default 10)")
-    sub.add_argument(
-        "--samples-per-day", type=int, default=400_000, help="interactions per day (default 400000)"
-    )
-    sub.add_argument("--epsilon", type=float, default=0.05, help="exploration rate (default 0.05)")
-    sub.add_argument(
-        "--min-gap", type=float, default=0.02, help="required confounding gap (default 0.02)"
-    )
-    sub.add_argument("--days", type=int, default=days_default, help=f"days to simulate (default {days_default})")
+def _add_common_flags(sub: argparse.ArgumentParser):
+    defaults, spec = ScenarioConfig, ScenarioConfig.spec
+    for flag, default, text in (
+        ("--seed", defaults.seed, "run seed"),
+        ("--k1", spec.k1, "cardinality of x1"),
+        ("--k2", spec.k2, "cardinality of x2"),
+        ("--actions", spec.n_actions, "number of actions"),
+        ("--samples-per-day", defaults.samples_per_day, "interactions per day"),
+        ("--epsilon", defaults.epsilon, "exploration rate"),
+        ("--min-gap", defaults.min_gap, "required confounding gap"),
+        ("--days", defaults.days, "days to simulate"),
+    ):
+        sub.add_argument(flag, type=type(default), default=default, help=f"{text} (default %(default)s)")
     sub.add_argument("--out", default=None, help="output root (default $CONFOUNDSIM_OUT or ./runs)")
     sub.add_argument("--dump-log", action="store_true", help="also write the interaction log as NDJSON")
 
@@ -338,7 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ab = subs.add_parser("ab-test", help="A/B test with shared or separate training logs")
     _add_common_flags(ab)
-    ab.add_argument("--ab-start-day", type=int, default=2, help="first 50/50 split day (default 2)")
+    ab.add_argument(
+        "--ab-start-day", type=int, default=ScenarioConfig.ab_start_day,
+        help="first 50/50 split day (default %(default)s)",
+    )
     group = ab.add_mutually_exclusive_group()
     group.add_argument("--shared-log", action="store_true", help="both arms train on the union log")
     group.add_argument(

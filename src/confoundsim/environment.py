@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import COVARIATE_FACTORS, CategoricalSpec, _canonical_subset
-from .numerics import PROB_ATOL, _is_count, sigmoid
+from .numerics import _check_count, _check_probs, _check_rate, sigmoid
 from .policy import Policy, greedy_policy
 
 __all__ = [
@@ -87,11 +87,8 @@ class GroundTruth:
             raise ValueError(f"click_logit must have shape {spec.cell_shape}")
         if self.sale_logit is not None and self.sale_logit.shape != (spec.k1, spec.k2, spec.n_actions):
             raise ValueError("sale_logit must have shape (k1, k2, n_actions)")
-        if np.any(self.p_x1 < 0) or abs(self.p_x1.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("p_x1 must be a probability vector")
-        rows = self.p_x2_given_x1.sum(axis=1)
-        if np.any(self.p_x2_given_x1 < 0) or np.any(np.abs(rows - 1.0) > PROB_ATOL):
-            raise ValueError("p_x2_given_x1 rows must be probability vectors")
+        _check_probs("p_x1", self.p_x1)
+        _check_probs("p_x2_given_x1 rows", self.p_x2_given_x1)
         for name in ("click_logit", "sale_logit"):
             t = getattr(self, name)
             if t is not None and not np.all(np.isfinite(t)):
@@ -158,10 +155,18 @@ def confounding_gap(gt: GroundTruth) -> float:
     return float((marginal.max(axis=-1, keepdims=True) - np.take_along_axis(marginal, a_conf, axis=-1)).max())
 
 
-def _check_draw(seed, max_rounds) -> None:
-    for name, value, low in (("seed", seed, 0), ("max_rounds", max_rounds, 1)):
-        if not _is_count(value) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _rejection_draw(seed, max_rounds, propose, bar: float, what: str):
+    """First ``(candidate, score)`` of ``propose(rng)`` whose score reaches
+    ``bar``, all drawn from one stream seeded by ``seed``; ``RuntimeError``
+    after ``max_rounds`` misses, naming ``what`` the score measures."""
+    _check_count("seed", seed)
+    _check_count("max_rounds", max_rounds, 1)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_rounds):
+        candidate, score = propose(rng)
+        if score >= bar:
+            return candidate, score
+    raise RuntimeError(f"no {what} >= {bar} within {max_rounds} rounds (seed={seed})")
 
 
 def make_default_ground_truth(
@@ -191,12 +196,10 @@ def make_default_ground_truth(
     max_rounds : int
         Rejection budget; exceeding it raises ``RuntimeError``.
     """
-    _check_draw(seed, max_rounds)
-    if not 0.0 <= min_gap <= 0.2:
-        raise ValueError("min_gap must lie in [0, 0.2]")
-    rng = np.random.default_rng(seed)
+    _check_rate("min_gap", min_gap, 0, 0.2)
     lo, hi = LOGIT_RANGE
-    for _ in range(max_rounds):
+
+    def propose(rng):
         candidate = GroundTruth(
             spec=spec,
             p_x1=rng.dirichlet(np.ones(spec.k1)),
@@ -204,12 +207,10 @@ def make_default_ground_truth(
             click_logit=rng.uniform(lo, hi, size=spec.cell_shape),
             sale_logit=rng.uniform(lo, hi, size=(spec.k1, spec.k2, spec.n_actions)) if with_sales else None,
         )
-        gap = confounding_gap(candidate)
-        if gap >= min_gap:
-            return replace(candidate, seed=int(seed), min_gap=float(min_gap), gap=float(gap))
-    raise RuntimeError(
-        f"no environment reached confounding_gap >= {min_gap} within {max_rounds} rounds (seed={seed})"
-    )
+        return candidate, confounding_gap(candidate)
+
+    gt, gap = _rejection_draw(seed, max_rounds, propose, min_gap, "environment reached confounding_gap")
+    return replace(gt, seed=int(seed), min_gap=float(min_gap), gap=float(gap))
 
 
 def make_separable_ground_truth(
@@ -232,44 +233,29 @@ def make_separable_ground_truth(
     finite-sample fits then reproduce the argmaxes instead of sitting on
     ties.  Requires a spec without a decision axis.
     """
-    _check_draw(seed, max_rounds)
     if spec.n_decisions is not None:
         raise ValueError("separable environments are defined for single-decision specs")
-    if not 0.0 <= min_sep <= 0.2:
-        raise ValueError("min_sep must lie in [0, 0.2]")
-    rng = np.random.default_rng(seed)
+    _check_rate("min_sep", min_sep, 0, 0.2)
     lo, hi = LOGIT_RANGE
-    for _ in range(max_rounds):
+
+    def propose(rng):
         click_by_x2 = rng.uniform(lo, hi, size=(spec.k2, spec.n_actions))
         sale_by_x1 = rng.uniform(lo, hi, size=(spec.k1, spec.n_actions))
-        p_x1 = rng.dirichlet(np.ones(spec.k1))
-        p_x2_given_x1 = rng.dirichlet(np.ones(spec.k2), size=spec.k1)
         candidate = GroundTruth(
             spec=spec,
-            p_x1=p_x1,
-            p_x2_given_x1=p_x2_given_x1,
-            click_logit=np.broadcast_to(
-                click_by_x2[None, :, :], (spec.k1, spec.k2, spec.n_actions)
-            ).copy(),
-            sale_logit=(
-                np.broadcast_to(
-                    sale_by_x1[:, None, :], (spec.k1, spec.k2, spec.n_actions)
-                ).copy()
-                if with_sales
-                else None
-            ),
+            p_x1=rng.dirichlet(np.ones(spec.k1)),
+            p_x2_given_x1=rng.dirichlet(np.ones(spec.k2), size=spec.k1),
+            click_logit=np.broadcast_to(click_by_x2, spec.cell_shape).copy(),
+            sale_logit=np.broadcast_to(sale_by_x1[:, None, :], spec.cell_shape).copy() if with_sales else None,
         )
         score = sigmoid(candidate.click_logit)
         if with_sales:
             score = score * sigmoid(candidate.sale_logit)
         top2 = np.sort(score, axis=-1)[..., -2:]
-        separation = float(np.min(top2[..., 1] - top2[..., 0]))
-        if separation >= min_sep:
-            return replace(candidate, seed=int(seed), min_gap=None, gap=None)
-    raise RuntimeError(
-        f"no separable environment reached product separation >= {min_sep} "
-        f"within {max_rounds} rounds (seed={seed})"
-    )
+        return candidate, float(np.min(top2[..., 1] - top2[..., 0]))
+
+    gt, _ = _rejection_draw(seed, max_rounds, propose, min_sep, "separable environment reached product separation")
+    return replace(gt, seed=int(seed), min_gap=None, gap=None)
 
 
 def policy_value(gt: GroundTruth, policy: Policy, reward) -> float:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _check_count
+
 __all__ = [
     "COVARIATE_FACTORS",
     "ACTION_FACTORS",
@@ -72,14 +74,8 @@ class CategoricalSpec:
     n_decisions: int | None = None
 
     def __post_init__(self):
-        for name in ("k1", "k2", "n_actions"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-        if self.n_decisions is not None and (
-            not isinstance(self.n_decisions, (int, np.integer)) or self.n_decisions < 2
-        ):
-            raise ValueError(f"n_decisions must be None or an integer >= 2, got {self.n_decisions!r}")
+        for name in ("k1", "k2", "n_actions") + (() if self.n_decisions is None else ("n_decisions",)):
+            _check_count(name, getattr(self, name), 2)
 
     def cardinality(self, factor: str) -> int:
         if factor == "x1":
@@ -202,6 +198,9 @@ def _mixed_radix(spec: CategoricalSpec, names, values: dict):
         v = np.asarray(v)
         if v.size and (v.min() < 0 or v.max() >= card):
             raise ValueError(f"{name} out of range [0, {card})")
+        # Only float inputs can carry a fraction; integer paths skip this pass.
+        if v.dtype.kind == "f" and not np.array_equal(v, np.trunc(v)):
+            raise ValueError(f"{name} must hold integral values")
         idx *= card
         # Cast unsafely so integral float or uint64 values index as integers.
         np.add(idx, v, out=idx, casting="unsafe")

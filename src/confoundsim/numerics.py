@@ -47,6 +47,26 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, low: int = 0) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``low``."""
+    if not _is_count(value) or value < low:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_rate(name: str, value, low, high) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number in ``[low, high]``; NaN is not."""
+    if not _is_real(value) or not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
+def _check_probs(name: str, table: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row (last axis) of ``table`` is
+    nonnegative and sums to one within ``PROB_ATOL``; NaN fails both."""
+    if not (np.all(table >= 0) and np.all(np.abs(table.sum(axis=-1) - 1.0) <= PROB_ATOL)):
+        raise ValueError(f"{name} must be nonnegative and sum to one (within {PROB_ATOL:g})")
+
+
 def softmax_rows(logits):
     """Row-wise softmax of a 2-d array, shifted for numerical stability."""
     z = np.asarray(logits, dtype=np.float64)

@@ -17,7 +17,7 @@ import numpy as np
 from .features import (CategoricalSpec, _canonical_subset, _covariate_union, COVARIATE_FACTORS,
                        context_count, context_index)
 from .glm import FittedModel, prediction_table
-from .numerics import PROB_ATOL, _is_real, softmax_rows
+from .numerics import PROB_ATOL, _check_probs, _check_rate, softmax_rows
 
 __all__ = [
     "FactoredPolicyParams",
@@ -52,21 +52,12 @@ class Policy:
         expected = self.spec.cell_shape
         if self.probs.shape != expected:
             raise ValueError(f"probs shape {self.probs.shape} does not match spec {expected}")
-        if np.any(self.probs < 0):
-            raise ValueError("action probabilities must be nonnegative")
-        sums = self.cell_probs().sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > PROB_ATOL):
-            raise ValueError("per-context action probabilities must sum to one")
+        _check_probs("per-context action probabilities", self.cell_probs())
         vis = _canonical_subset(self.visibility, COVARIATE_FACTORS, "covariate")
         object.__setattr__(self, "visibility", vis)
-        if "x2" not in vis and not np.allclose(
-            self.probs, self.probs[:, :1, ...], rtol=0.0, atol=PROB_ATOL
-        ):
-            raise ValueError("policy blind to x2 must not vary with x2")
-        if "x1" not in vis and not np.allclose(
-            self.probs, self.probs[:1, :, ...], rtol=0.0, atol=PROB_ATOL
-        ):
-            raise ValueError("policy blind to x1 must not vary with x1")
+        for axis, name in enumerate(COVARIATE_FACTORS):
+            if name not in vis and not np.allclose(self.probs, self.probs.take([0], axis), rtol=0.0, atol=PROB_ATOL):
+                raise ValueError(f"policy blind to {name} must not vary with {name}")
 
     def cell_probs(self) -> np.ndarray:
         """Probabilities flattened to ``(k1, k2, action_cells)``."""
@@ -105,8 +96,7 @@ def epsilon_greedy(model: FittedModel, epsilon: float) -> Policy:
     ``1 - epsilon + epsilon / cells``; every other cell ``epsilon / cells``.
     Visibility is inherited from the model's included covariates.
     """
-    if not _is_real(epsilon) or not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+    _check_rate("epsilon", epsilon, 0, 1)
     spec = model.feature_spec.spec
     best = np.argmax(prediction_table(model).reshape(spec.k1, spec.k2, -1), axis=-1)
     return greedy_policy(spec, best, model.feature_spec.included, epsilon)
@@ -130,20 +120,16 @@ class FactoredPolicyParams:
     def __post_init__(self):
         if self.spec.n_decisions is None:
             raise ValueError("factored policies require a spec with n_decisions")
-        ctx_a = _canonical_subset(self.action_context, COVARIATE_FACTORS, "covariate")
-        ctx_d = _canonical_subset(self.decision_context, COVARIATE_FACTORS, "covariate")
-        object.__setattr__(self, "action_context", ctx_a)
-        object.__setattr__(self, "decision_context", ctx_d)
-        self.action_logits = np.asarray(self.action_logits, dtype=np.float64)
-        self.decision_logits = np.asarray(self.decision_logits, dtype=np.float64)
-        shape_a = (context_count(ctx_a, self.spec), self.spec.n_actions)
-        shape_d = (context_count(ctx_d, self.spec), self.spec.n_decisions)
-        if self.action_logits.shape != shape_a:
-            raise ValueError(f"action_logits must have shape {shape_a}")
-        if self.decision_logits.shape != shape_d:
-            raise ValueError(f"decision_logits must have shape {shape_d}")
-        if not (np.all(np.isfinite(self.action_logits)) and np.all(np.isfinite(self.decision_logits))):
-            raise ValueError("factored policy logits must be finite")
+        for head, width in (("action", self.spec.n_actions), ("decision", self.spec.n_decisions)):
+            context = _canonical_subset(getattr(self, f"{head}_context"), COVARIATE_FACTORS, "covariate")
+            logits = np.asarray(getattr(self, f"{head}_logits"), dtype=np.float64)
+            object.__setattr__(self, f"{head}_context", context)
+            object.__setattr__(self, f"{head}_logits", logits)
+            shape = (context_count(context, self.spec), width)
+            if logits.shape != shape:
+                raise ValueError(f"{head}_logits must have shape {shape}")
+            if not np.all(np.isfinite(logits)):
+                raise ValueError("factored policy logits must be finite")
 
     def context_grids(self):
         """Context row index per ``(x1, x2)`` for both factors."""

@@ -33,7 +33,7 @@ import numpy as np
 from .environment import GroundTruth
 from .glm import FittedModel, prediction_table
 from .policy import FactoredPolicyParams
-from .numerics import UNIFORM_BITS, _draw, _guide, _is_count, _is_real, softmax_rows
+from .numerics import UNIFORM_BITS, _check_count, _draw, _guide, _is_real, softmax_rows
 
 __all__ = [
     "SearchConfig",
@@ -65,16 +65,13 @@ class SearchConfig:
     def __post_init__(self):
         if not _is_real(self.learning_rate) or not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not _is_count(self.iterations) or self.iterations < 0:
-            raise ValueError("iterations must be a nonnegative integer")
-        if not _is_count(self.batch_size) or self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        _check_count("iterations", self.iterations)
+        _check_count("batch_size", self.batch_size, 1)
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
         if not _is_real(self.baseline_decay) or not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
-        if not _is_count(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_count("seed", self.seed)
 
 
 # What a search reads besides the logits, fixed while it runs.  table and
@@ -205,8 +202,7 @@ def estimate_gradient(
     so equal ``rng`` states give equal bits and equal states after.
     """
     inputs = _search_inputs(model, params, gt)
-    if not _is_count(batch_size) or batch_size < 1:
-        raise ValueError("batch_size must be a positive integer")
+    _check_count("batch_size", batch_size, 1)
     draws = (block[0] for block in _draw_block(inputs, rng, 1, batch_size))
     return _batch_gradient(inputs, params.action_logits, params.decision_logits, *draws, baseline_value)
 

@@ -42,7 +42,7 @@ from .glm import (
     sum_tallies,
 )
 from .logs import ARM_CODES, Log
-from .numerics import GUIDE_BUCKETS, _draw, _guide, _is_count, _is_real, _threshold, sigmoid
+from .numerics import GUIDE_BUCKETS, _check_count, _check_rate, _draw, _guide, _is_count, _threshold, sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
 from .streams import UNIFORMS_PER_ROW, DayStream
@@ -87,18 +87,13 @@ class ScenarioConfig:
     days: int = 6
 
     def __post_init__(self):
-        if not _is_count(self.samples_per_day) or self.samples_per_day < 1:
-            raise ValueError("samples_per_day must be a positive integer")
-        if not _is_real(self.epsilon) or not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if not _is_count(self.days) or self.days < 1:
-            raise ValueError("days must be a positive integer")
-        if not _is_count(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if not _is_real(self.min_gap) or not 0.0 <= self.min_gap <= 0.2:
-            raise ValueError("min_gap must lie in [0, 0.2]")
+        _check_count("samples_per_day", self.samples_per_day, 1)
+        _check_rate("epsilon", self.epsilon, 0, 1)
+        _check_count("days", self.days, 1)
+        _check_count("seed", self.seed)
+        _check_rate("min_gap", self.min_gap, 0, 0.2)
         if not _is_count(self.ab_start_day):
-            raise ValueError("ab_start_day must be an integer")
+            raise ValueError(f"ab_start_day must be an integer, got {self.ab_start_day!r}")
 
 
 @dataclass(frozen=True)
@@ -343,8 +338,7 @@ def run_day(
         The tally is the day's cell counts, equal to ``glm.tally(log,
         gt.spec)``, counted by the chunks as they are drawn.
     """
-    if not _is_count(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count("n", n, 1)
     # The log's day column is int32.
     if not _is_count(day) or not 0 <= day < 2**31:
         raise ValueError(f"day must be an integer in [0, 2**31), got {day!r}")
@@ -352,6 +346,9 @@ def run_day(
         raise ValueError(f"stream is day {stream.day}'s, so it cannot draw day {day}")
     if arm not in (None, *ARM_CODES):
         raise ValueError(f"arm must be None or one of {tuple(ARM_CODES)}, got {arm!r}")
+    # Exact values first: policy_value rejects a policy of another spec before any draw.
+    expected = expected_policy_ctr(gt, policy)
+    oracle = expected_policy_ctr(gt, oracle_policy(gt, policy.visibility))
     chunk_rows = CHUNK_ROWS
     starts = range(0, n, chunk_rows)
     stripes = _worker_count(workers, len(starts))
@@ -395,8 +392,6 @@ def run_day(
     log = Log(**dict(zip(LOG_COLUMNS, out)))
     bins = bins.sum(axis=0).reshape(gt.spec.cell_shape + (3,))
     counts = _bins_tally(bins, gt.sale_logit is not None, (int(day), int(day)))
-    expected = expected_policy_ctr(gt, policy)
-    oracle = expected_policy_ctr(gt, oracle_policy(gt, policy.visibility))
     report = DayReport(
         day=int(day),
         arm=arm or "",

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import UNIFORM_BITS, _is_count
+from .numerics import UNIFORM_BITS, _check_count
 
 __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 
@@ -64,9 +64,7 @@ class DayStream:
 
     def __post_init__(self):
         for name in ("seed", "day", "substream"):
-            value = getattr(self, name)
-            if not _is_count(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            _check_count(name, getattr(self, name))
 
     @cached_property
     def _state(self) -> dict:
@@ -90,9 +88,8 @@ class DayStream:
         C-contiguous int64 array of that shape to fill and return instead
         of a fresh one.
         """
-        for name, value in (("start", start), ("count", count)):
-            if not _is_count(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        _check_count("start", start)
+        _check_count("count", count)
         shape = (count, UNIFORMS_PER_ROW)
         if out is None:
             out = np.empty(shape, dtype=np.int64)

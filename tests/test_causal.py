@@ -255,6 +255,9 @@ class TestCovModel:
             fit_cov_model(context_log([], []), small)
         with pytest.raises(ValueError):
             CovModel(p_x2_given_x1=np.array([[0.9, 0.3]]), counts=np.array([[1, 1]]))
+        # Rows must sum to one within PROB_ATOL (1e-12), as for GroundTruth and Policy.
+        with pytest.raises(ValueError, match="p_x2_given_x1 rows must be nonnegative and sum to one"):
+            CovModel(p_x2_given_x1=np.array([[0.5, 0.5 + 1e-10]]), counts=np.array([[1, 1]]))
         with pytest.raises(ValueError):
             CovModel(p_x2_given_x1=np.array([[0.5, 0.5]]), counts=np.array([1, 1]))
 

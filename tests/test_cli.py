@@ -406,3 +406,22 @@ class TestParserReuse:
         fresh = capsys.readouterr().out
         assert run(capsys, *argv) == (0, fresh, "")
         assert fresh.startswith("usage: confoundsim")
+
+    @pytest.mark.parametrize("command", ["feature-engineering", "ab-test", "click-sale", "two-decision"])
+    def test_help_prints_the_defaults(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        text = " ".join(out.split())
+        expected = [
+            "run seed (default 0)",
+            "cardinality of x1 (default 5)",
+            "cardinality of x2 (default 5)",
+            "number of actions (default 10)",
+            "interactions per day (default 400000)",
+            "exploration rate (default 0.05)",
+            "required confounding gap (default 0.02)",
+            "days to simulate (default 6)",
+        ]
+        if command == "ab-test":
+            expected.append("first 50/50 split day (default 2)")
+        assert code == 0
+        assert [line for line in expected if line not in text] == []

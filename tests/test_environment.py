@@ -102,11 +102,18 @@ class TestConstruction:
     @pytest.mark.parametrize("make", [make_default_ground_truth, make_separable_ground_truth])
     @pytest.mark.parametrize(
         "kwargs",
-        [{"seed": True}, {"seed": 2.5}, {"seed": -1}, {"seed": 0, "max_rounds": 2.5}, {"seed": 0, "max_rounds": 0}],
-        ids=["seed-bool", "seed-float", "seed-negative", "rounds-float", "rounds-zero"],
+        [
+            {"seed": True}, {"seed": 2.5}, {"seed": -1}, {"seed": 0, "max_rounds": 2.5}, {"seed": 0, "max_rounds": 0},
+            {"seed": 0, "bar": "0.1"}, {"seed": 0, "bar": None},
+        ],
+        ids=["seed-bool", "seed-float", "seed-negative", "rounds-float", "rounds-zero", "bar-string", "bar-none"],
     )
     def test_bad_seed_or_budget_rejected(self, make, kwargs):
-        with pytest.raises(ValueError, match="seed|max_rounds"):
+        # "bar" stands for the acceptance threshold: min_gap, or min_sep for separable draws.
+        bar = "min_gap" if make is make_default_ground_truth else "min_sep"
+        kwargs = {bar if key == "bar" else key: value for key, value in kwargs.items()}
+        # The last argument given is the bad one, and the error names it.
+        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} must "):
             make(SPEC, **kwargs)
 
     def test_sales_optional(self):
@@ -120,6 +127,13 @@ class TestConstruction:
             GroundTruth(
                 spec=SMALL,
                 p_x1=np.array([0.7, 0.7]),
+                p_x2_given_x1=np.full((2, 2), 0.5),
+                click_logit=np.zeros((2, 2, 2)),
+            )
+        with pytest.raises(ValueError, match="p_x1 must be nonnegative and sum to one"):
+            GroundTruth(
+                spec=SMALL,
+                p_x1=np.array([np.nan, np.nan]),
                 p_x2_given_x1=np.full((2, 2), 0.5),
                 click_logit=np.zeros((2, 2, 2)),
             )

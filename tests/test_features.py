@@ -72,6 +72,21 @@ class TestEncode:
         expected = [encode(fs, *row) for row in zip(x1, x2, a)]
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize(
+        "x1, x2, a, name", [(1.5, 2, 3, "x1"), (1, 2.0, np.array([3.25]), "a"), (np.nan, 0, 0, "x1")]
+    )
+    def test_non_integral_float_rejected(self, x1, x2, a, name):
+        fs = FeatureSpec(("x1", "x2"), ("a",), SPEC_5_5_10)
+        with pytest.raises(ValueError, match=f"{name} must hold integral values"):
+            encode(fs, x1, x2, a)
+
+    def test_integral_floats_index_as_integers(self):
+        fs = FeatureSpec(("x1", "x2"), ("a",), SPEC_5_5_10)
+        assert encode(fs, 1.0, np.float32(2), 3) == encode(fs, 1, 2, 3) == 73
+        np.testing.assert_array_equal(context_index(("x1",), SPEC_5_5_10, np.array([0.0, 4.0]), 0), [0, 4])
+        with pytest.raises(ValueError, match="x1 must hold integral values"):
+            context_index(("x1",), SPEC_5_5_10, np.array([0.7]), 0)
+
     def test_excluded_covariate_ignored(self):
         fs = FeatureSpec(("x1",), ("a",), SPEC_5_5_10)
         assert hot_index(fs, 2, 0, 7) == hot_index(fs, 2, 4, 7)
@@ -131,13 +146,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             FeatureSpec(("x1",), ("a", "d"), SPEC_5_5_10)
 
-    def test_spec_cardinality_bounds(self):
-        with pytest.raises(ValueError):
-            CategoricalSpec(k1=1, k2=5, n_actions=10)
-        with pytest.raises(ValueError):
-            CategoricalSpec(k1=5, k2=5, n_actions=1)
-        with pytest.raises(ValueError):
-            CategoricalSpec(k1=5, k2=5, n_actions=10, n_decisions=1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k1", 1), ("n_actions", 1), ("n_decisions", 1), ("k1", True), ("k2", 2.0), ("n_decisions", True),
+         ("n_decisions", 2.0)],
+    )
+    def test_spec_cardinality_bounds(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CategoricalSpec(**{"k1": 5, "k2": 5, "n_actions": 10, field: value})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = CategoricalSpec(k1=np.int64(3), k2=3, n_actions=np.int32(2), n_decisions=np.int64(3))
+        assert spec.cell_shape == (3, 3, 2, 3)
 
     def test_canonical_factor_order(self):
         fs = FeatureSpec(("x2", "x1"), ("a",), SPEC_5_5_10)

@@ -191,11 +191,15 @@ class TestFactored:
             FactoredPolicyParams(
                 spec, ("x1",), ("x2",), np.full((2, 2), np.inf), np.zeros((2, 2))
             )
+        with pytest.raises(ValueError, match="logits must be finite"):
+            FactoredPolicyParams(spec, ("x1",), ("x2",), np.zeros((2, 2)), np.full((2, 2), np.nan))
 
     def test_shape_validation(self):
         spec = CategoricalSpec(k1=2, k2=2, n_actions=2, n_decisions=2)
         with pytest.raises(ValueError):
             FactoredPolicyParams(spec, ("x1",), ("x2",), np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"decision_logits must have shape \(1, 2\)"):
+            FactoredPolicyParams(spec, ("x1",), (), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestPolicyInvariants:
@@ -203,6 +207,12 @@ class TestPolicyInvariants:
         probs = np.full((2, 2, 2), 0.4)
         with pytest.raises(ValueError):
             Policy(spec=SMALL, probs=probs, visibility=("x1", "x2"))
+        # NaN compares false both ways, so it must fail the check rather than slip past it.
+        for row in ([np.nan, np.nan], [-0.5, 1.5]):
+            probs = np.full((2, 2, 2), 0.5)
+            probs[0, 0] = row
+            with pytest.raises(ValueError, match="must be nonnegative and sum to one"):
+                Policy(spec=SMALL, probs=probs, visibility=("x1", "x2"))
 
     def test_visibility_mismatch_rejected(self):
         # claims x1-only but varies with x2

@@ -117,6 +117,14 @@ class TestSearchConfig:
             ("iterations", True),
             ("batch_size", True),
             ("seed", False),
+            ("learning_rate", 0.0),
+            ("iterations", -1),
+            ("batch_size", 0),
+            ("baseline_decay", -0.1),
+            ("baseline_decay", 1.0),
+            ("baseline_decay", True),
+            ("seed", -1),
+            ("seed", None),
         ],
     )
     def test_rejects_non_finite_rate_and_non_integer_counts(self, field, value):

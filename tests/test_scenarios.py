@@ -68,6 +68,7 @@ class TestScenarioConfig:
             ("samples_per_day", True),
             ("samples_per_day", 2000.5),
             ("samples_per_day", 2000.0),
+            ("samples_per_day", 0),
             ("days", True),
             ("days", 6.0),
             ("seed", 1.5),
@@ -77,8 +78,10 @@ class TestScenarioConfig:
             ("epsilon", "a"),
             ("epsilon", True),
             ("epsilon", float("nan")),
+            ("epsilon", -0.1),
             ("min_gap", "a"),
             ("min_gap", False),
+            ("min_gap", 0.3),
         ],
     )
     def test_rejects_bools_and_non_numbers(self, field, value):
@@ -202,6 +205,15 @@ class TestRunDay:
         monkeypatch.setattr(DayStream, "uniforms", lambda self, *args: calls.append(args))
         with pytest.raises(ValueError, match="stream is day 0's, so it cannot draw day 3"):
             run_day(gt, uniform_policy(SPEC), 10, 3, DayStream(0, 0, 0))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(5, 5, 4), (4, 5, 10), (5, 5, 5, 2)], ids=["actions", "x1", "decisions"])
+    def test_policy_of_another_spec_rejected_before_any_draw(self, shape, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        calls = []
+        monkeypatch.setattr(DayStream, "uniforms", lambda self, *args: calls.append(args))
+        with pytest.raises(ValueError, match="policy spec does not match the environment spec"):
+            run_day(gt, uniform_policy(CategoricalSpec(*shape)), 10, 0, DayStream(0, 0, 0))
         assert calls == []
 
     def test_unknown_arm_rejected_before_any_draw(self, monkeypatch):
