@@ -30,7 +30,7 @@ import numpy as np
 from .features import CategoricalSpec, encode
 from .glm import FittedModel, tally
 from .logs import Log
-from .numerics import _check_probs, sigmoid
+from .numerics import _check_count, _check_probs, sigmoid
 
 __all__ = [
     "AdjustedEstimate",
@@ -355,6 +355,8 @@ def backdoor_adjust(full_model: FittedModel, cov: CovModel, x1: int, a: int, d=N
     """
     if "x2" not in full_model.feature_spec.included or "x1" not in full_model.feature_spec.included:
         raise ValueError("backdoor adjustment requires a model that includes x1 and x2")
+    for name, value in (("x1", x1), ("a", a)) + (() if d is None else (("d", d),)):
+        _check_count(name, value)
     k2 = full_model.feature_spec.spec.k2
     if cov.p_x2_given_x1.shape[1] != k2:
         raise ValueError("covariate model shape does not match the feature spec")

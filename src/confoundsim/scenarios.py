@@ -216,7 +216,7 @@ def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     )
 
 
-def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, counts) -> None:
+def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, codes, idx, counts) -> None:
     """Inverse-CDF simulation of one chunk of rows from the day's tables.
 
     ``u`` holds each row's integer uniforms ``k`` (:meth:`DayStream.uniforms`),
@@ -224,12 +224,13 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, coun
     uniform (numpy's ``searchsorted(side="right")`` rule); x2 and the action
     cell count the entries strictly below theirs; a row clicks, and a click
     sells, when its uniform is below the probability.  Writes ``(x1, x2, a, d,
-    propensity, c, s)`` into the length-``len(u)`` columns of ``out``: int32
-    covariates and actions, float64 propensities and int8 outcomes, with
-    ``d`` or ``s`` None when the environment has no decision axis or no sale
-    mechanism.  Adds each row to its :func:`glm.tally` bin of int64
-    ``counts``.  ``u4`` is ``(4, len(u))`` int64 scratch for a contiguous
-    copy of the uniforms the draws and clicks compare, ``idx`` intp scratch.
+    propensity, c, s)`` into the length-``len(u)`` columns of ``out``, of the
+    dtypes :func:`_column_dtypes` gives them, with ``d`` or ``s`` None when the
+    environment has no decision axis or no sale mechanism.  Adds each row to
+    its :func:`glm.tally` bin of int64 ``counts``.  ``u4`` is ``(4, len(u))``
+    int64 scratch for a contiguous copy of the uniforms the draws and clicks
+    compare, ``codes`` ``(3, len(u))`` int32 scratch for the x1, x2 and action
+    cell draws, ``idx`` intp scratch.
     """
     spec = tables.spec
     x1, x2, a, d, propensity, c, s = out
@@ -239,24 +240,30 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, coun
     clicked = c.view(np.bool_)
     thresholds = propensity.view(np.int64)
     scratch = (idx, thresholds, clicked)
-    _draw(*tables.x1, u4[0], 0, x1, *scratch)
-    np.multiply(x1, GUIDE_BUCKETS, out=x2)
-    _draw(*tables.x2, u4[1], x2, x2, *scratch)
+    row1, row2, cell = codes
+    _draw(*tables.x1, u4[0], 0, row1, *scratch)
+    np.multiply(row1, GUIDE_BUCKETS, out=row2)
+    _draw(*tables.x2, u4[1], row2, row2, *scratch)
     context = u4[0].view(np.intp)
-    np.multiply(x1, spec.k2, out=context)
-    context += x2
-    np.multiply(context, GUIDE_BUCKETS, out=a)
-    _draw(*tables.cell, u4[2], a, a, *scratch)
+    np.multiply(row1, spec.k2, out=context)
+    context += row2
+    np.multiply(context, GUIDE_BUCKETS, out=cell)
+    _draw(*tables.cell, u4[2], cell, cell, *scratch)
     np.multiply(context, spec.action_cells, out=idx)
-    idx += a
+    idx += cell
     # Every index is in range; take's default mode="raise" would buffer its out=.
     np.less(u4[3], tables.p_click.take(idx, out=thresholds, mode="clip"), out=clicked)
     if s is not None:
         np.less(u[:, 4], tables.p_sale.take(idx, out=thresholds, mode="clip"), out=s.view(np.bool_))
         np.copyto(s, np.int8(-1), where=~clicked)
     tables.propensity.take(idx, out=propensity, mode="clip")
-    if d is not None:
-        np.divmod(a, spec.n_decisions, out=(a, d))
+    # Each code fits its column, whose type holds the spec's whole cell index.
+    np.copyto(x1, row1, casting="same_kind")
+    np.copyto(x2, row2, casting="same_kind")
+    if d is None:
+        np.copyto(a, cell, casting="same_kind")
+    else:
+        np.divmod(cell, spec.n_decisions, out=(a, d))
     # A row's outcome is c, or s + 1 with sales: s is -1 unless clicked.
     idx *= 3
     if s is None:
@@ -268,10 +275,19 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, idx, coun
 
 
 def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
-    """dtype of each of :data:`LOG_COLUMNS` a day of ``gt`` fills, None where absent."""
+    """dtype of each of :data:`LOG_COLUMNS` a day of ``gt`` fills, None where absent.
+
+    The codes ``x1``, ``x2``, ``a`` and ``d`` share the narrowest signed type
+    that holds the spec's full cell index, so any mixed-radix index of them
+    computed in their own type cannot wrap: int8 up to 128 cells, int16 up to
+    32,768.  ``day`` is int32, ``propensity`` float64, ``c``, ``s`` and
+    ``arm`` int8.
+    """
+    spec = gt.spec
+    code = np.min_scalar_type(-(spec.k1 * spec.k2 * spec.action_cells))
     return (
-        np.int32, np.int32, np.int32, np.int32,
-        None if gt.spec.n_decisions is None else np.int32,
+        np.int32, code, code, code,
+        None if spec.n_decisions is None else code,
         np.float64, np.int8,
         None if gt.sale_logit is None else np.int8,
         np.int8 if with_arm else None,
@@ -279,7 +295,13 @@ def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
 
 
 def _empty_columns(gt: GroundTruth, n: int, with_arm: bool) -> tuple:
-    return tuple(None if dt is None else np.empty(n, dtype=dt) for dt in _column_dtypes(gt, with_arm))
+    """Fresh columns of an ``n``-row log of ``gt``; ``ValueError`` when they do not fit in memory."""
+    dtypes = _column_dtypes(gt, with_arm)
+    try:
+        return tuple(None if dt is None else np.empty(n, dtype=dt) for dt in dtypes)
+    except MemoryError:
+        row_bytes = sum(np.dtype(dt).itemsize for dt in dtypes if dt is not None)
+        raise ValueError(f"a log of {n:,} rows at {row_bytes} bytes per row does not fit in memory") from None
 
 
 def _rows(columns: tuple, start: int, stop: int) -> tuple:
@@ -321,7 +343,7 @@ def run_day(
     calling thread runs stripe 0 and a helper thread each other stripe; a
     day of one chunk starts no thread.  ``workers`` defaults to one per
     CPU the process may run on.  Each stripe refills one uniform block and
-    two scratch arrays per chunk and adds its rows to one row of cell
+    three scratch arrays per chunk and adds its rows to one row of cell
     counts, all allocated here by the calling thread, so a helper thread's
     own allocations stay small.
 
@@ -329,8 +351,10 @@ def run_day(
     array per name in :data:`LOG_COLUMNS`, of the log's dtype, or None
     for a column this day has no values for (``d`` without a decision
     axis, ``s`` without a sale mechanism, ``arm`` when ``arm`` is None).
-    The returned log is a view of it.  By default fresh columns are
-    allocated.
+    The codes ``x1``, ``x2``, ``a`` and ``d`` are of the narrowest signed
+    type that holds the spec's cell index (int16 for the default spec);
+    :func:`_column_dtypes` gives every column's type.  The returned log is
+    a view of ``out``.  By default fresh columns are allocated.
 
     Returns
     -------
@@ -365,18 +389,23 @@ def run_day(
     sampled = out[1:8]
     rows = min(chunk_rows, n)
     buffers = [
-        (np.empty((rows, UNIFORMS_PER_ROW), np.int64), np.empty((4, rows), np.int64), np.empty(rows, np.intp))
+        (
+            np.empty((rows, UNIFORMS_PER_ROW), np.int64),
+            np.empty((4, rows), np.int64),
+            np.empty((3, rows), np.int32),
+            np.empty(rows, np.intp),
+        )
         for _ in range(stripes)
     ]
     bins = np.zeros((stripes, 3 * tables.propensity.size), dtype=np.int64)
 
     def stripe(k):
-        u, u4, idx = buffers[k]
+        u, u4, codes, idx = buffers[k]
         for start in starts[k::stripes]:
             stop = min(start + chunk_rows, n)
             m = stop - start
             uniforms = stream.uniforms(start, m, u[:m])
-            _simulate_chunk(tables, uniforms, _rows(sampled, start, stop), u4[:, :m], idx[:m], bins[k])
+            _simulate_chunk(tables, uniforms, _rows(sampled, start, stop), u4[:, :m], codes[:, :m], idx[:m], bins[k])
 
     if stripes == 1:
         stripe(0)

@@ -517,7 +517,8 @@ def simulate_chunk_reference(gt, policy, u: np.ndarray):
     Gathers each row's x2 and action-cell CDF rows, caps every draw at
     the last column, and applies the sigmoid to gathered logits.  Returns
     ``(x1, x2, a, d, propensity, c, s)`` in the sampler's native dtypes
-    (int64 covariates and actions), before ``run_day``'s int32 cast.
+    (int64 covariates and actions), before ``run_day``'s cast to the log's
+    code type.
     """
     spec = gt.spec
     cdf1 = np.cumsum(gt.p_x1)

@@ -366,6 +366,21 @@ class TestBackdoorAdjust:
         with pytest.raises(ValueError):
             backdoor_adjust(model, cov, 0, 0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("x1", True), ("x1", 1.0), ("x1", -1), ("a", True), ("a", 0.5), ("d", True), ("d", 1.0)],
+    )
+    def test_bool_or_non_integer_factor_rejected(self, name, value):
+        # True would index the covariate table as a mask (x1) or count as 1 (a, d).
+        model, cov = tiny_fit()
+        args = {"x1": 0, "a": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer, got {value!r}"):
+            backdoor_adjust(model, cov, **args)
+
+    def test_numpy_integer_factors_accepted(self):
+        model, cov = tiny_fit()
+        assert backdoor_adjust(model, cov, np.int64(0), np.int8(0)) == backdoor_adjust(model, cov, 0, 0)
+
     def test_hand_computed_standard_error(self):
         """x1=0, a=0: weights (4.5/9, 4.5/9) = (1/2, 1/2), rates (1/4, 1/2),
         smoothed rates (2/6, 2/4) over n = (4, 2), N_x1 = 8:

@@ -367,6 +367,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_log_too_large_to_allocate_is_usage(self, capsys, tmp_path):
+        # numpy refuses six days of 10**12 rows at once, before any column is allocated.
+        code, _, err = run(
+            capsys, "feature-engineering", "--out", str(tmp_path), "--samples-per-day", str(10**12)
+        )
+        assert code == 2
+        assert "error: a log of 6,000,000,000,000 rows at 19 bytes per row does not fit in memory" in err
+        assert not (tmp_path / "feature_engineering").exists()
+
     def test_unwritable_output_root_is_internal(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file, not a directory")

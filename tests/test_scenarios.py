@@ -33,6 +33,7 @@ from confoundsim.fixtures import (
     TWO_DECISION_SEEDS,
     TWO_DECISION_SPEC,
 )
+from confoundsim.features import FeatureSpec, encode
 from confoundsim.glm import tally
 from confoundsim.logs import Log
 from confoundsim.numerics import GUIDE_BUCKETS, _draw, sigmoid
@@ -41,6 +42,7 @@ from confoundsim.scenarios import (
     CHUNK_ROWS,
     LOG_COLUMNS,
     _ab_tests,
+    _column_dtypes,
     _day_tables,
     _empty_columns,
     _simulate_chunk,
@@ -260,20 +262,82 @@ class TestRunDay:
                 assert np.shares_memory(getattr(log, name), col), name
         assert not whole[1][:500].any() and not whole[1][5_500:].any()
 
-    @pytest.mark.parametrize("fault", ["length", "dtype", "missing", "extra"])
+    @pytest.mark.parametrize("fault", ["length", "dtype", "code-dtype", "missing", "extra"])
     def test_out_must_match_the_day(self, fault):
         gt = make_default_ground_truth(SPEC, seed=0)  # no decision axis, no sales
         out = list(_empty_columns(gt, 100, with_arm=False))
         if fault == "length":
-            out[LOG_COLUMNS.index("x1")] = np.zeros(99, dtype=np.int32)
+            out[LOG_COLUMNS.index("x1")] = np.zeros(99, dtype=np.int16)
         elif fault == "dtype":
             out[LOG_COLUMNS.index("propensity")] = np.zeros(100, dtype=np.float32)
+        elif fault == "code-dtype":
+            # The default spec's 250 cells make its codes int16.
+            out[LOG_COLUMNS.index("a")] = np.zeros(100, dtype=np.int32)
         elif fault == "missing":
             out[LOG_COLUMNS.index("c")] = None
         else:
             out[LOG_COLUMNS.index("s")] = np.zeros(100, dtype=np.int8)
         with pytest.raises(ValueError, match="out must hold"):
             run_day(gt, uniform_policy(SPEC), 100, 0, DayStream(0, 0, 0), out=tuple(out))
+
+    def test_log_too_large_to_allocate_is_a_value_error(self):
+        # numpy refuses 10**12 rows at once, before any column is allocated.
+        gt = make_default_ground_truth(SPEC, seed=0)
+        with pytest.raises(ValueError, match=r"1,000,000,000,000 rows at 19 bytes per row does not fit"):
+            run_day(gt, uniform_policy(SPEC), 10**12, 0, DayStream(0, 0, 0))
+
+
+# Specs on both sides of the int8 code type's 128 cells, and the study specs.
+CODE_TYPE_SPECS = (
+    (CategoricalSpec(k1=2, k2=2, n_actions=32), np.int8),  # 128 cells
+    (CategoricalSpec(k1=2, k2=2, n_actions=33), np.int16),  # 132 cells
+    (SPEC, np.int16),  # 250 cells
+    (TWO_DECISION_SPEC, np.int16),  # 500 cells
+)
+
+
+def assert_column_types(log, code):
+    types = dict.fromkeys(LOG_COLUMNS, np.int8)
+    types.update(day=np.int32, x1=code, x2=code, a=code, d=code, propensity=np.float64)
+    for name, want in types.items():
+        col = getattr(log, name)
+        assert col is None or col.dtype == want, (name, col.dtype)
+
+
+class TestLogColumnTypes:
+    """A log's codes x1, x2, a and d take the narrowest signed type that holds the spec's full cell index."""
+
+    @pytest.mark.parametrize("spec, code", CODE_TYPE_SPECS, ids=str)
+    def test_run_day_columns(self, spec, code):
+        with_sales = spec.n_decisions is None
+        gt = make_default_ground_truth(spec, 3, min_gap=0.0, with_sales=with_sales)
+        log, _, _ = run_day(gt, uniform_policy(spec), 5_000, 1, DayStream(3, 1, 0), arm="A")
+        assert (log.d is None, log.s is None) == (with_sales, not with_sales)
+        assert_column_types(log, code)
+
+    @pytest.mark.parametrize("spec, code", CODE_TYPE_SPECS, ids=str)
+    def test_each_study_log(self, spec, code):
+        cfg = ScenarioConfig(spec=spec, samples_per_day=2_000, min_gap=0.0)
+        if spec.n_decisions is None:
+            results = [scenario_feature_engineering(cfg), scenario_ab_test(cfg), scenario_click_sale(cfg)]
+        else:
+            results = [scenario_two_decision(cfg)]
+        for res in results:
+            assert_column_types(res.log, code)
+
+    @pytest.mark.parametrize("spec, code", CODE_TYPE_SPECS, ids=str)
+    def test_full_cell_index_in_the_column_type_equals_encode(self, spec, code):
+        # Every cell of the spec, indexed in the columns' own type, as
+        # tests/test_acceptance.py indexes a log's cells.
+        x1, x2, a, *d = (axis.ravel().astype(code) for axis in np.indices(spec.cell_shape))
+        index = (x1 * spec.k2 + x2) * spec.n_actions + a
+        if d:
+            index = index * spec.n_decisions + d[0]
+        assert index.dtype == code
+        features = FeatureSpec(("x1", "x2"), ("a", "d") if d else ("a",), spec)
+        want = encode(features, x1, x2, a, *d)
+        assert want.dtype == np.int64
+        np.testing.assert_array_equal(index, want)
 
 
 COLUMNS = ("x1", "x2", "a", "d", "propensity", "c", "s")
@@ -309,18 +373,26 @@ def simulate_chunk(gt, policy, u):
         if col is not None:
             col.view(np.uint8).fill(0x5A)
     tables = _day_tables(gt, policy)
-    scratch = (np.empty((4, len(u)), dtype=np.int64), np.empty(len(u), dtype=np.intp))
+    scratch = (
+        np.empty((4, len(u)), dtype=np.int64),
+        np.empty((3, len(u)), dtype=np.int32),
+        np.empty(len(u), dtype=np.intp),
+    )
     _simulate_chunk(tables, u, out, *scratch, np.zeros(3 * tables.propensity.size, dtype=np.int64))
     return out
 
 
 def reference_columns(gt, policy, u):
     """The reference chunk drawn from the doubles ``u * 2**-53`` of the integer
-    uniforms ``u``, with run_day's int32 cast of covariates and actions."""
+    uniforms ``u``, with its covariates and actions cast to the log's code
+    type, a cast that must keep every value."""
     cols = list(simulate_chunk_reference(gt, policy, u * 2.0**-53))
+    code = _column_dtypes(gt, with_arm=False)[LOG_COLUMNS.index("x1")]
     for i in range(4):
         if cols[i] is not None:
-            cols[i] = cols[i].astype(np.int32)
+            cast = cols[i].astype(code)
+            assert np.array_equal(cast, cols[i]), COLUMNS[i]
+            cols[i] = cast
     return cols
 
 
@@ -593,7 +665,29 @@ class TestDayTally:
                 assert report.empirical_ctr == float(log.c.mean()), (n, workers)
 
 
+def log_nbytes(log) -> int:
+    columns = (getattr(log, name) for name in LOG_COLUMNS)
+    return sum(col.nbytes for col in columns if col is not None)
+
+
+def log_bytes_and_peak(study) -> tuple:
+    """The bytes of the log of ``study()`` and the peak traced memory of the call."""
+    tracemalloc.start()
+    try:
+        log = study().log
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return log_nbytes(log), peak
+
+
 class TestFeatureEngineeringLoop:
+    def test_peak_memory_stays_near_the_log(self):
+        """A row is 19 bytes: int32 day, int16 codes, float64 propensity, int8 click."""
+        nbytes, peak = log_bytes_and_peak(lambda: scenario_feature_engineering(ScenarioConfig(seed=0)))
+        assert nbytes == 6 * 400_000 * 19
+        assert peak <= 1.35 * nbytes, peak / nbytes
+
     def test_dip_and_recovery_on_every_fixture_seed(self, day_loop_sweep):
         """One x2-aware day confounds exactly one successor day.
 
@@ -694,17 +788,11 @@ class TestABTest:
 
     def test_peak_memory_stays_near_the_log(self):
         """Days are written into the scenario's log in place: no day log,
-        shared training log or final log is a second copy of the rows."""
-        tracemalloc.start()
-        try:
-            res = scenario_ab_test(ScenarioConfig(seed=0), shared_log=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        log = res.log
-        columns = (log.day, log.x1, log.x2, log.a, log.propensity, log.c, log.d, log.s, log.arm)
-        nbytes = sum(col.nbytes for col in columns if col is not None)
-        assert nbytes == 6 * 400_000 * 26
+        shared training log or final log is a second copy of the rows.
+        A row is 20 bytes: int32 day, int16 codes, float64 propensity,
+        int8 click and arm."""
+        nbytes, peak = log_bytes_and_peak(lambda: scenario_ab_test(ScenarioConfig(seed=0), shared_log=True))
+        assert nbytes == 6 * 400_000 * 20
         assert peak <= 1.35 * nbytes, peak / nbytes
 
 
@@ -825,6 +913,14 @@ class TestTwoDecision:
         gain = res.model_value("reinforce_factored") - res.model_value("independent_factored")
         assert gain >= TWO_DECISION_MARGIN
         assert res.model_value("joint_argmax") >= res.model_value("reinforce_factored") - 1e-12
+
+    def test_log_takes_21_bytes_per_row(self):
+        """int32 day, four int16 codes, float64 propensity, int8 click.  The
+        one-day log is too small for a peak bound: the day's stripe buffers
+        and the search's tables are a large share of the call's memory."""
+        log = scenario_two_decision(ScenarioConfig(spec=TWO_DECISION_SPEC, samples_per_day=5_000)).log
+        assert log.d is not None and log.s is None and log.arm is None
+        assert log_nbytes(log) == 5_000 * 21
 
     def test_requires_a_decision_axis(self):
         with pytest.raises(ValueError):
