@@ -18,20 +18,23 @@ cfg = ScenarioConfig(seed=0)
 shared = scenario_ab_test(cfg, shared_log=True)
 separate = scenario_ab_test(cfg, shared_log=False)
 
-baseline = shared.common_reports[-1].expected_ctr
+
+def arm(result, name):
+    """The result's reports of arm ``name``, or of the common days for ''."""
+    return [r for r in result.reports if r.arm == name]
+
+
+baseline = arm(shared, "")[-1].expected_ctr
 print(f"common day-1 plateau (x1-only model): {baseline:.4f}\n")
 print("             arm A expected CTR          arm B expected CTR")
 print("day    shared log   separate logs    shared log   separate logs")
-rows = zip(
-    shared.arm_reports["A"], separate.arm_reports["A"],
-    shared.arm_reports["B"], separate.arm_reports["B"],
-)
+rows = zip(arm(shared, "A"), arm(separate, "A"), arm(shared, "B"), arm(separate, "B"))
 for sa, pa, sb, pb in rows:
     print(f"{sa.day:>3}    {sa.expected_ctr:>10.4f}   {pa.expected_ctr:>13.4f}"
           f"    {sb.expected_ctr:>10.4f}   {pb.expected_ctr:>13.4f}")
 
-last_shared = shared.arm_reports["A"][-1].expected_ctr
-last_sep = separate.arm_reports["A"][-1].expected_ctr
+last_shared = arm(shared, "A")[-1].expected_ctr
+last_sep = arm(separate, "A")[-1].expected_ctr
 print(f"\nfinal day: shared-log arm A trails its separate-log twin by "
       f"{last_sep - last_shared:.4f};")
 print("the arms only differ in which log they trained on.")

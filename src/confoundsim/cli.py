@@ -6,9 +6,9 @@ reports across scenarios share one fixed CSV column set, with fields that
 do not apply left empty; comparison studies share a second fixed set.
 
 Exit codes: 0 success (or admissible verdict), 1 negative domain verdict,
-2 usage or validation error, 3 internal error.  The default output root
-is ``--out``, else the ``CONFOUNDSIM_OUT`` environment variable, else
-``./runs``.
+2 usage or validation error, a spec too large for memory included, 3
+internal error.  The default output root is ``--out``, else the
+``CONFOUNDSIM_OUT`` environment variable, else ``./runs``.
 """
 
 from __future__ import annotations
@@ -211,9 +211,8 @@ def cmd_ab_test(args) -> int:
         "ab_start_day": cfg.ab_start_day,
         "regimes": {
             regime: {
-                "common_expected_ctr": [r.expected_ctr for r in res.common_reports],
-                "arm_a_expected_ctr": [r.expected_ctr for r in res.arm_reports["A"]],
-                "arm_b_expected_ctr": [r.expected_ctr for r in res.arm_reports["B"]],
+                f"{series}_expected_ctr": [r.expected_ctr for r in res.reports if r.arm == arm]
+                for series, arm in (("common", ""), ("arm_a", "A"), ("arm_b", "B"))
             }
             for regime, res in results.items()
         },
@@ -234,7 +233,7 @@ def cmd_ab_test(args) -> int:
 def cmd_click_sale(args) -> int:
     cfg = _scenario_config(args)
     result = scenario_click_sale(cfg, x_prime=args.x_prime, x_dprime=args.x_dprime)
-    views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
+    views = {"x_prime": _subset_text(args.x_prime), "x_dprime": _subset_text(args.x_dprime)}
     summary = {**views, "values": {e.variant: e.value for e in result.entries}}
     for e in result.entries:
         print(f"{e.variant}: post-click sale rate {e.value:.6f} ({e.detail})")
@@ -248,7 +247,7 @@ def cmd_two_decision(args) -> int:
     trace_path = str(_out_dir(args, "two_decision") / "trace.csv") if args.trace else None
     search = default_two_decision_search(cfg.seed, trace_path=trace_path)
     result = scenario_two_decision(cfg, x_prime=args.x_prime, x_dprime=args.x_dprime, search=search)
-    views = {"x_prime": _subset_text(result.x_prime), "x_dprime": _subset_text(result.x_dprime)}
+    views = {"x_prime": _subset_text(args.x_prime), "x_dprime": _subset_text(args.x_dprime)}
     summary = {
         **views,
         "true_values": {e.variant: e.value for e in result.entries},
@@ -384,7 +383,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary for exit code 3

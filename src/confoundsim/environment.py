@@ -217,7 +217,6 @@ def make_separable_ground_truth(
     spec: CategoricalSpec,
     seed: int,
     min_sep: float = 0.0,
-    with_sales: bool = True,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> GroundTruth:
     """Draw an environment whose click and sale mechanisms are separable.
@@ -246,11 +245,9 @@ def make_separable_ground_truth(
             p_x1=rng.dirichlet(np.ones(spec.k1)),
             p_x2_given_x1=rng.dirichlet(np.ones(spec.k2), size=spec.k1),
             click_logit=np.broadcast_to(click_by_x2, spec.cell_shape).copy(),
-            sale_logit=np.broadcast_to(sale_by_x1[:, None, :], spec.cell_shape).copy() if with_sales else None,
+            sale_logit=np.broadcast_to(sale_by_x1[:, None, :], spec.cell_shape).copy(),
         )
-        score = sigmoid(candidate.click_logit)
-        if with_sales:
-            score = score * sigmoid(candidate.sale_logit)
+        score = sigmoid(candidate.click_logit) * sigmoid(candidate.sale_logit)
         top2 = np.sort(score, axis=-1)[..., -2:]
         return candidate, float(np.min(top2[..., 1] - top2[..., 0]))
 

@@ -74,12 +74,11 @@ class SearchConfig:
         _check_count("seed", self.seed)
 
 
-# What a search reads besides the logits, fixed while it runs.  table and
-# grid_* (k1, k2)-shaped serve the exact objective; the batch routine reads
-# the flat reward table, the guide table of the covariate CDF over flattened
-# (x1, x2) cells without its last entry, and the flat cell -> head-row maps
-# rows_*.
-_SearchInputs = namedtuple("_SearchInputs", "table weights grid_a grid_d rewards cell_guide rows_a rows_d")
+# What a search reads besides the logits, fixed while it runs: the (k1, k2)-
+# shaped reward table, covariate weights and head-row maps grid_*, and the
+# guide table of the covariate CDF over flattened (x1, x2) cells without its
+# last entry.  The batch routine reads table and grid_* by flat index.
+_SearchInputs = namedtuple("_SearchInputs", "table weights grid_a grid_d cell_guide")
 
 # Samples per block of draws: a block of max(1, BLOCK_SAMPLES // batch_size)
 # iterations keeps its arrays small at any batch size.
@@ -92,16 +91,7 @@ def _search_inputs(model: FittedModel, params: FactoredPolicyParams, gt: GroundT
     weights = gt.covariate_weights
     table = prediction_table(model)
     grid_a, grid_d = params.context_grids()
-    return _SearchInputs(
-        table,
-        weights,
-        grid_a,
-        grid_d,
-        table.ravel(),
-        _guide(np.cumsum(weights.ravel())[None, :-1], inclusive=True),
-        grid_a.ravel(),
-        grid_d.ravel(),
-    )
+    return _SearchInputs(table, weights, grid_a, grid_d, _guide(np.cumsum(weights.ravel())[None, :-1], inclusive=True))
 
 
 def _draw_columns(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -146,7 +136,7 @@ def _draw_block(inputs: _SearchInputs, rng: np.random.Generator, iterations: int
     u = rng.random((iterations, 3, batch_size))
     cells = _draw_cells(inputs.cell_guide, (u[:, 0] * 2.0**UNIFORM_BITS).astype(np.int64))
     per_cell = inputs.table[0, 0].size
-    return u, inputs.rows_a.take(cells), inputs.rows_d.take(cells), np.multiply(cells, per_cell, dtype=np.intp)
+    return u, inputs.grid_a.take(cells), inputs.grid_d.take(cells), np.multiply(cells, per_cell, dtype=np.intp)
 
 
 def _head_gradient(pi, rows, chosen, advantage):
@@ -172,7 +162,7 @@ def _batch_gradient(inputs, action_logits, decision_logits, u, rows_a, rows_d, b
     pi_d = softmax_rows(decision_logits)
     a = _draw_columns(np.cumsum(pi_a, axis=1), rows_a, u[1])
     d = _draw_columns(np.cumsum(pi_d, axis=1), rows_d, u[2])
-    rewards = inputs.rewards.take(base + a * pi_d.shape[1] + d)
+    rewards = inputs.table.take(base + a * pi_d.shape[1] + d)
     advantage = rewards - baseline_value
     g_action = _head_gradient(pi_a, rows_a, a, advantage)
     g_decision = _head_gradient(pi_d, rows_d, d, advantage)

@@ -48,7 +48,6 @@ from .policy_search import SearchConfig, reinforce_optimize
 from .streams import UNIFORMS_PER_ROW, DayStream
 
 __all__ = [
-    "ABResult",
     "CHUNK_ROWS",
     "ComparisonEntry",
     "ComparisonResult",
@@ -141,36 +140,21 @@ class ComparisonEntry:
 
 @dataclass
 class ScenarioResult:
+    """A day-loop study: its environment, one report per day and arm in the
+    log's row order, and the log; a report's arm is ``DayReport.arm``."""
+
     gt: GroundTruth
     reports: list
     log: Log
 
 
 @dataclass
-class ABResult:
-    gt: GroundTruth
-    shared_log: bool
-    common_reports: list
-    arm_reports: dict
-    log: Log
-
-    @property
-    def reports(self) -> list:
-        ordered = list(self.common_reports)
-        for day_pair in zip(self.arm_reports["A"], self.arm_reports["B"]):
-            ordered.extend(day_pair)
-        return ordered
-
-
-@dataclass
 class ComparisonResult:
-    """A comparison study: its environment, covariate views, exploration
-    day and one entry per policy variant; ``final_params`` holds the
-    two-decision study's searched factored policy."""
+    """A comparison study: its environment, exploration day and one entry
+    per policy variant; ``final_params`` holds the two-decision study's
+    searched factored policy."""
 
     gt: GroundTruth
-    x_prime: tuple
-    x_dprime: tuple
     log_report: DayReport
     entries: list
     log: Log
@@ -489,7 +473,7 @@ def scenario_ab_test(
     cfg: ScenarioConfig,
     shared_log: bool = False,
     arm_b_features=("x1", "x2"),
-) -> ABResult:
+) -> ScenarioResult:
     """A/B test in which arm A fits x1-only models and arm B x2-aware ones.
 
     Traffic splits 50/50 from ``cfg.ab_start_day``.  Under a shared log
@@ -501,7 +485,8 @@ def scenario_ab_test(
 
     Each day's rows, arm A's before arm B's, are written into the
     scenario's log and tallied once; a shared training log is the sum of
-    the two arms' tallies.
+    the two arms' tallies.  The reports follow the log: the common days,
+    then arm A's and arm B's of each split day.
     """
     return _ab_tests(cfg, (shared_log,), arm_b_features)[0]
 
@@ -516,26 +501,24 @@ def _ab_tests(cfg: ScenarioConfig, regimes, arm_b_features=("x1", "x2")) -> list
         raise ValueError("samples_per_day must be at least 2 to split each A/B day between arms A and B")
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
     columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, with_arm=True)
-    common_reports: list[DayReport] = []
+    common: list[DayReport] = []
     counts = None
     for day in range(cfg.ab_start_day):
         [(report, counts)] = _retrain_day(cfg, gt, columns, day, [("", ("x1",), 0, counts)])
-        common_reports.append(report)
+        common.append(report)
     arms = lambda train_a, train_b: [("A", ("x1",), 1, train_a), ("B", arm_b_features, 2, train_b)]
     first = _retrain_day(cfg, gt, columns, cfg.ab_start_day, arms(counts, counts))
     results = []
     for i, shared_log in enumerate(regimes):
         cols = columns if i == len(regimes) - 1 else tuple(None if c is None else c.copy() for c in columns)
         (report_a, train_a), (report_b, train_b) = first
-        arm_reports = {"A": [report_a], "B": [report_b]}
+        reports = [*common, report_a, report_b]
         for day in range(cfg.ab_start_day + 1, cfg.days):
             if shared_log:
                 train_a = train_b = sum_tallies([train_a, train_b])
             (report_a, train_a), (report_b, train_b) = _retrain_day(cfg, gt, cols, day, arms(train_a, train_b))
-            arm_reports["A"].append(report_a)
-            arm_reports["B"].append(report_b)
-        log = Log._prevalidated(**dict(zip(LOG_COLUMNS, cols)))
-        results.append(ABResult(gt, shared_log, list(common_reports), arm_reports, log))
+            reports += (report_a, report_b)
+        results.append(ScenarioResult(gt, reports, Log._prevalidated(**dict(zip(LOG_COLUMNS, cols)))))
     return results
 
 
@@ -594,7 +577,7 @@ def scenario_click_sale(
             ("oracle", oracle, "true mechanism"),
         )
     ]
-    return ComparisonResult(gt, tuple(x_prime), tuple(x_dprime), log_report, entries, log)
+    return ComparisonResult(gt, log_report, entries, log)
 
 
 def default_two_decision_search(seed: int, trace_path: str | None = None) -> SearchConfig:
@@ -665,4 +648,4 @@ def scenario_two_decision(
             ("reinforce_factored", reinforce_pol, "optimised against the joint model"),
         )
     ]
-    return ComparisonResult(gt, tuple(x_prime), tuple(x_dprime), log_report, entries, log, final_params)
+    return ComparisonResult(gt, log_report, entries, log, final_params)

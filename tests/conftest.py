@@ -27,17 +27,11 @@ def _sweep_one(seed: int) -> dict:
     blind = scenario_feature_engineering(cfg, day2_features=("x1",))
     # Both A/B regimes share their days up to and including the first split day.
     shared, separate = _ab_tests(cfg, (True, False))
-    return {
-        "seed": seed,
-        "fe": list(fe.reports),
-        "blind": list(blind.reports),
-        "shared_common": list(shared.common_reports),
-        "shared_a": list(shared.arm_reports["A"]),
-        "shared_b": list(shared.arm_reports["B"]),
-        "separate_common": list(separate.common_reports),
-        "separate_a": list(separate.arm_reports["A"]),
-        "separate_b": list(separate.arm_reports["B"]),
-    }
+    row = {"seed": seed, "fe": list(fe.reports), "blind": list(blind.reports)}
+    for regime, res in (("shared", shared), ("separate", separate)):
+        for series, arm in (("common", ""), ("a", "A"), ("b", "B")):
+            row[f"{regime}_{series}"] = [r for r in res.reports if r.arm == arm]
+    return row
 
 
 @pytest.fixture(scope="session")

@@ -160,6 +160,22 @@ class TestABTest:
         assert set(summary["regimes"]) == {"shared", "separate"}
         assert len(summary["regimes"]["shared"]["arm_a_expected_ctr"]) == 2
 
+    def test_both_summary_holds_three_series_per_regime(self, capsys, tmp_path):
+        """Each regime's summary holds the common days' and each arm's
+        expected rates, day by day; the digest pins their values."""
+        code, _, _ = run(capsys, "ab-test", "--both", "--out", str(tmp_path), *SMALL)
+        assert code == 0
+        summary = json.loads((tmp_path / "ab_test" / "summary.json").read_text())
+        assert summary["ab_start_day"] == 2
+        for regime in ("shared", "separate"):
+            series = summary["regimes"][regime]
+            assert sorted(series) == ["arm_a_expected_ctr", "arm_b_expected_ctr", "common_expected_ctr"]
+            assert [len(series[name]) for name in sorted(series)] == [4, 4, 2]
+        shared, separate = summary["regimes"]["shared"], summary["regimes"]["separate"]
+        # Both regimes run the days up to and including the first split day once.
+        assert shared["common_expected_ctr"] == separate["common_expected_ctr"]
+        assert shared["arm_a_expected_ctr"][0] == separate["arm_a_expected_ctr"][0]
+
     def test_both_with_dump_log_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "ab-test", "--both", "--dump-log", "--out", str(tmp_path), *SMALL
@@ -375,6 +391,18 @@ class TestExitCodes:
         assert code == 2
         assert "error: a log of 6,000,000,000,000 rows at 19 bytes per row does not fit in memory" in err
         assert not (tmp_path / "feature_engineering").exists()
+
+    @pytest.mark.parametrize("command", ["feature-engineering", "ab-test", "click-sale", "two-decision"])
+    def test_spec_too_large_to_allocate_is_usage(self, capsys, tmp_path, command):
+        # The environment's (k1, k2) covariate table alone would take 728 TiB,
+        # more than any address space holds.
+        code, _, err = run(
+            capsys, command, "--out", str(tmp_path), "--samples-per-day", "100",
+            "--k1", str(10**7), "--k2", str(10**7),
+        )
+        assert code == 2
+        assert err.startswith("error: Unable to allocate 728. TiB")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_root_is_internal(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

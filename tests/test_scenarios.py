@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import confoundsim.scenarios
@@ -35,7 +35,7 @@ from confoundsim.fixtures import (
 )
 from confoundsim.features import FeatureSpec, encode
 from confoundsim.glm import tally
-from confoundsim.logs import Log
+from confoundsim.logs import ARM_LABELS, Log
 from confoundsim.numerics import GUIDE_BUCKETS, _draw, sigmoid
 from confoundsim.policy import Policy, greedy_policy, uniform_policy
 from confoundsim.scenarios import (
@@ -410,7 +410,9 @@ class TestSamplerByteContract:
 
     @pytest.mark.parametrize("kind", ["one-hot", "epsilon-greedy", "random"])
     @pytest.mark.parametrize("rows", [1, 7, 1000, CHUNK_ROWS])
-    @settings(max_examples=10, deadline=None)
+    # No shrink phase: shrinking each of the 12 cases over a CHUNK_ROWS-row
+    # chunk makes a sampler bug take minutes to report instead of seconds.
+    @settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(
         spec=st.sampled_from(SAMPLER_SPECS),
         with_sales=st.booleans(),
@@ -728,6 +730,11 @@ class TestFeatureEngineeringLoop:
         assert rate[1] - rate[3] >= DESK.min_gap * (1.0 - DESK.epsilon)
 
 
+def arm_reports(res, arm: str) -> list:
+    """The reports of arm ``arm`` of an A/B result, or of its common days for ''."""
+    return [r for r in res.reports if r.arm == arm]
+
+
 class TestABTest:
     def test_blind_arm_b_makes_arms_identical(self):
         """With both arms fitting x1-only models on a shared log, the two
@@ -735,7 +742,7 @@ class TestABTest:
         their exact rates coincide day by day.
         """
         res = scenario_ab_test(DESK, shared_log=True, arm_b_features=("x1",))
-        for ra, rb in zip(res.arm_reports["A"], res.arm_reports["B"]):
+        for ra, rb in zip(arm_reports(res, "A"), arm_reports(res, "B"), strict=True):
             assert ra.expected_ctr == rb.expected_ctr
             assert ra.features_used == rb.features_used == ("x1",)
 
@@ -754,13 +761,27 @@ class TestABTest:
     def test_split_bookkeeping(self):
         res = scenario_ab_test(DESK, shared_log=False)
         n = DESK.samples_per_day
-        for ra, rb in zip(res.arm_reports["A"], res.arm_reports["B"]):
+        for ra, rb in zip(arm_reports(res, "A"), arm_reports(res, "B"), strict=True):
             assert ra.samples == n // 2
             assert rb.samples == n - n // 2
-            assert (ra.arm, rb.arm) == ("A", "B")
-        assert [r.day for r in res.common_reports] == [0, 1]
+            assert ra.day == rb.day
+        assert [r.day for r in arm_reports(res, "")] == [0, 1]
         assert len(res.log.arm_slice("A")) == (DESK.days - DESK.ab_start_day) * (n // 2)
         assert [r.day for r in res.reports[:2]] == [0, 1]
+
+    @pytest.mark.parametrize("shared_log", [True, False])
+    @pytest.mark.parametrize("ab_start_day", [2, 5])
+    def test_reports_follow_the_log(self, shared_log, ab_start_day):
+        """One report per run of equal (day, arm) log rows, in row order."""
+        cfg = ScenarioConfig(samples_per_day=2_001, ab_start_day=ab_start_day)
+        res = scenario_ab_test(cfg, shared_log=shared_log)
+        keys = np.stack([res.log.day, res.log.arm], axis=1)
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        runs = [
+            (int(day), ARM_LABELS[int(arm)], int(size))
+            for (day, arm), size in zip(keys[starts], np.diff(np.r_[starts, len(keys)]))
+        ]
+        assert [(r.day, r.arm, r.samples) for r in res.reports] == runs
 
     def test_start_day_validation(self):
         with pytest.raises(ValueError):
@@ -808,11 +829,8 @@ class TestABRegimeSharing:
     def test_sharing_equals_rerunning(self, regimes, seed, ab_start_day, arm_b_features):
         cfg = ScenarioConfig(seed=seed, samples_per_day=5_001, ab_start_day=ab_start_day)
         together = _ab_tests(cfg, regimes, arm_b_features)
-        assert [res.shared_log for res in together] == list(regimes)
-        for res in together:
-            alone = scenario_ab_test(cfg, shared_log=res.shared_log, arm_b_features=arm_b_features)
-            assert res.common_reports == alone.common_reports
-            assert res.arm_reports == alone.arm_reports
+        for shared_log, res in zip(regimes, together, strict=True):
+            alone = scenario_ab_test(cfg, shared_log=shared_log, arm_b_features=arm_b_features)
             assert res.reports == alone.reports
             for name in LOG_COLUMNS:
                 ours, theirs = getattr(res.log, name), getattr(alone.log, name)
@@ -837,7 +855,7 @@ class TestClickSale:
     @pytest.mark.parametrize("seed", SEPARABLE_SEEDS[:2])
     def test_separable_mechanisms_lose_nothing(self, seed):
         cfg = ScenarioConfig(seed=seed)
-        gt = make_separable_ground_truth(cfg.spec, seed, min_sep=0.02, with_sales=True)
+        gt = make_separable_ground_truth(cfg.spec, seed, min_sep=0.02)
         res = scenario_click_sale(cfg, gt=gt)
         assert abs(res.value("full") - res.value("mismatched")) <= 1e-9
 

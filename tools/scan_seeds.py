@@ -78,9 +78,9 @@ def day_loop_seed_ok(seed: int) -> bool:
     if max(post) - min(post) > RECOVERY_MARGIN:
         return False
     shared, separate = _ab_tests(cfg, (True, False))
-    shared_a = [r.expected_ctr for r in shared.arm_reports["A"]]
-    separate_a = [r.expected_ctr for r in separate.arm_reports["A"]]
-    day1 = separate.common_reports[1].expected_ctr
+    shared_a = [r.expected_ctr for r in shared.reports if r.arm == "A"]
+    separate_a = [r.expected_ctr for r in separate.reports if r.arm == "A"]
+    day1 = next(r.expected_ctr for r in separate.reports if r.arm == "" and r.day == 1)
     if not all(
         separate_a[i] - shared_a[i] >= ENTRENCH_MARGIN for i in range(1, len(shared_a))
     ):
@@ -88,7 +88,7 @@ def day_loop_seed_ok(seed: int) -> bool:
     if abs(separate_a[1] - day1) > RECOVERY_MARGIN:
         return False
     blind_ab = scenario_ab_test(cfg, shared_log=True, arm_b_features=("x1",))
-    blind_a = [r.expected_ctr for r in blind_ab.arm_reports["A"]]
+    blind_a = [r.expected_ctr for r in blind_ab.reports if r.arm == "A"]
     return all(day1 - r <= BLIND_AB_MARGIN for r in blind_a)
 
 
@@ -102,7 +102,7 @@ def click_sale_seed_ok(seed: int) -> bool:
 def separable_seed_ok(seed: int) -> bool:
     """Mismatched equals full when the true mechanisms are separable."""
     cfg = ScenarioConfig(seed=seed, samples_per_day=SAMPLES_PER_DAY)
-    gt = make_separable_ground_truth(cfg.spec, seed, min_sep=0.02, with_sales=True)
+    gt = make_separable_ground_truth(cfg.spec, seed, min_sep=0.02)
     res = scenario_click_sale(cfg, gt=gt)
     return abs(res.value("full") - res.value("mismatched")) <= 1e-9
 
