@@ -94,9 +94,7 @@ def _covariates(text: str) -> tuple:
 
 
 def _out_dir(args, name: str) -> Path:
-    out = Path(args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs") / name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out or os.environ.get("CONFOUNDSIM_OUT") or "runs") / name
 
 
 def _scenario_config(args, n_decisions=None) -> ScenarioConfig:
@@ -124,6 +122,7 @@ def _emit(args, scenario: str, cfg: ScenarioConfig, result, summary: dict, repor
     extended by ``config``.  Ends by printing the path of the main table.
     """
     out = _out_dir(args, scenario)
+    out.mkdir(parents=True, exist_ok=True)
     artifacts = {"reports": "reports.csv", "summary": "summary.json"}
     rows = [
         {
@@ -243,7 +242,8 @@ def cmd_click_sale(args) -> int:
 
 def cmd_two_decision(args) -> int:
     cfg = _scenario_config(args, n_decisions=args.decisions)
-    # The search writes its trace as it runs, so the directory comes first.
+    # The search writes its trace as it runs and makes the directory when it
+    # starts, so a usage error raised before then leaves none behind.
     trace_path = str(_out_dir(args, "two_decision") / "trace.csv") if args.trace else None
     search = default_two_decision_search(cfg.seed, trace_path=trace_path)
     result = scenario_two_decision(cfg, x_prime=args.x_prime, x_dprime=args.x_dprime, search=search)

@@ -57,12 +57,14 @@ class Log:
     ``c[i] == 0`` (a sale is observable only after a click).  ``arm`` holds
     A/B arm codes (-1 outside any split).
 
-    A simulated log stores ``day`` as int32, ``propensity`` as float64 and
-    ``c``, ``s`` and ``arm`` as int8.  The codes ``x1``, ``x2``, ``a`` and
-    ``d`` share the narrowest signed type that holds the spec's full cell
-    index (``scenarios._column_dtypes``): int16 on the default spec, where a
-    row takes 19 bytes, 20 with an arm and 21 with a decision.  The class
-    itself checks no dtype.
+    A simulated log stores ``day`` in the narrowest signed type that holds
+    its last day (int8 up to day 127), ``propensity`` as float64 and ``c``,
+    ``s`` and ``arm`` as int8.  The codes ``x1``, ``x2``, ``a`` and ``d``
+    share the narrowest signed type that holds the spec's full cell index
+    (``scenarios._column_dtypes``): int16 on the default spec, where a row
+    of a study of up to 128 days takes 16 bytes, 17 with an arm and 18 with
+    a decision.  The class itself checks no dtype, so logs whose day
+    columns differ in type concatenate into the wider one.
     """
 
     day: np.ndarray

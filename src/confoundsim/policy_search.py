@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -209,7 +210,8 @@ def reinforce_optimize(
     ``RuntimeError`` if the parameters stop being finite or if the final
     exact objective falls more than 1e-6 below the initial one.  When
     ``config.trace_path`` is set, appends one CSV row per iteration with
-    the exact objective and the estimated gradient's norm.
+    the exact objective and the estimated gradient's norm, creating the
+    trace's directory once the search's inputs are built.
 
     The search's fixed inputs, the covariate guide table among them, are
     built once.  Each block of ``max(1, BLOCK_SAMPLES // batch_size)``
@@ -228,6 +230,7 @@ def reinforce_optimize(
     have_baseline = False
     trace = None
     if config.trace_path is not None:
+        Path(config.trace_path).parent.mkdir(parents=True, exist_ok=True)
         trace = open(config.trace_path, "w", encoding="utf-8")
         trace.write("iteration,exact_objective,gradient_norm\n")
     try:

@@ -45,7 +45,7 @@ from .logs import ARM_CODES, Log
 from .numerics import GUIDE_BUCKETS, _check_count, _check_rate, _draw, _guide, _is_count, _threshold, sigmoid
 from .policy import FactoredPolicyParams, Policy, epsilon_greedy, greedy_policy, to_joint, uniform_policy
 from .policy_search import SearchConfig, reinforce_optimize
-from .streams import UNIFORMS_PER_ROW, DayStream
+from .streams import DayStream
 
 __all__ = [
     "CHUNK_ROWS",
@@ -65,8 +65,9 @@ __all__ = [
 # Fixed simulation chunk size.  Chunk i always covers rows
 # [i * CHUNK_ROWS, (i+1) * CHUNK_ROWS) of a day and owns the matching
 # counter range of the day's stream, so results never depend on how many
-# chunks are processed at once.  A chunk's uniform block is CHUNK_ROWS x 64
-# bytes: 1 MiB at 16,384 rows, small enough to stay in a 2 MiB L2 cache.
+# chunks are processed at once.  A chunk's uniform block holds the 4 words
+# of each row the sampler reads, 5 with sales: 512 or 640 KiB at 16,384
+# rows, small enough to stay in a 2 MiB L2 cache.
 CHUNK_ROWS = 1 << 14
 
 # The columns of a Log, in the order run_day's ``out`` tuple holds them.
@@ -200,45 +201,46 @@ def _day_tables(gt: GroundTruth, policy: Policy) -> _DayTables:
     )
 
 
-def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, codes, idx, counts) -> None:
-    """Inverse-CDF simulation of one chunk of rows from the day's tables.
+def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, codes, idx, counts) -> None:
+    """Inverse-CDF simulation of one chunk of ``m`` rows from the day's tables.
 
-    ``u`` holds each row's integer uniforms ``k`` (:meth:`DayStream.uniforms`),
-    standing for ``k * 2**-53``.  x1 counts the CDF entries at or below its
-    uniform (numpy's ``searchsorted(side="right")`` rule); x2 and the action
-    cell count the entries strictly below theirs; a row clicks, and a click
-    sells, when its uniform is below the probability.  Writes ``(x1, x2, a, d,
-    propensity, c, s)`` into the length-``len(u)`` columns of ``out``, of the
-    dtypes :func:`_column_dtypes` gives them, with ``d`` or ``s`` None when the
-    environment has no decision axis or no sale mechanism.  Adds each row to
-    its :func:`glm.tally` bin of int64 ``counts``.  ``u4`` is ``(4, len(u))``
-    int64 scratch for a contiguous copy of the uniforms the draws and clicks
-    compare, ``codes`` ``(3, len(u))`` int32 scratch for the x1, x2 and action
-    cell draws, ``idx`` intp scratch.
+    ``u`` is the chunk's word-major ``(w, m)`` block of integer uniforms
+    ``k`` (:meth:`DayStream.uniforms`), standing for ``k * 2**-53``: words
+    0-3 draw x1, x2 and the action cell and decide the click, word 4 the
+    sale, so ``w`` is at least 4, 5 with a sale mechanism.  The sampler
+    reads the block in place and overwrites its word 0.  x1 counts the CDF
+    entries at or below its uniform (numpy's ``searchsorted(side="right")``
+    rule); x2 and the action cell count the entries strictly below theirs; a
+    row clicks, and a click sells, when its uniform is below the probability.
+    Writes ``(x1, x2, a, d, propensity, c, s)`` into the length-``m`` columns
+    of ``out``, of the dtypes :func:`_column_dtypes` gives them, with ``d`` or
+    ``s`` None when the environment has no decision axis or no sale
+    mechanism.  Adds each row to its :func:`glm.tally` bin of int64
+    ``counts``.  ``codes`` is ``(3, m)`` int32 scratch for the x1, x2 and
+    action cell draws, ``idx`` intp scratch.
     """
     spec = tables.spec
     x1, x2, a, d, propensity, c, s = out
-    np.copyto(u4, u[:, :4].T)
     # propensity and c are scratch until their own values are written, and
     # the x1 uniforms' row until the contexts are.
     clicked = c.view(np.bool_)
     thresholds = propensity.view(np.int64)
     scratch = (idx, thresholds, clicked)
     row1, row2, cell = codes
-    _draw(*tables.x1, u4[0], 0, row1, *scratch)
+    _draw(*tables.x1, u[0], 0, row1, *scratch)
     np.multiply(row1, GUIDE_BUCKETS, out=row2)
-    _draw(*tables.x2, u4[1], row2, row2, *scratch)
-    context = u4[0].view(np.intp)
+    _draw(*tables.x2, u[1], row2, row2, *scratch)
+    context = u[0].view(np.intp)
     np.multiply(row1, spec.k2, out=context)
     context += row2
     np.multiply(context, GUIDE_BUCKETS, out=cell)
-    _draw(*tables.cell, u4[2], cell, cell, *scratch)
+    _draw(*tables.cell, u[2], cell, cell, *scratch)
     np.multiply(context, spec.action_cells, out=idx)
     idx += cell
     # Every index is in range; take's default mode="raise" would buffer its out=.
-    np.less(u4[3], tables.p_click.take(idx, out=thresholds, mode="clip"), out=clicked)
+    np.less(u[3], tables.p_click.take(idx, out=thresholds, mode="clip"), out=clicked)
     if s is not None:
-        np.less(u[:, 4], tables.p_sale.take(idx, out=thresholds, mode="clip"), out=s.view(np.bool_))
+        np.less(u[4], tables.p_sale.take(idx, out=thresholds, mode="clip"), out=s.view(np.bool_))
         np.copyto(s, np.int8(-1), where=~clicked)
     tables.propensity.take(idx, out=propensity, mode="clip")
     # Each code fits its column, whose type holds the spec's whole cell index.
@@ -258,19 +260,21 @@ def _simulate_chunk(tables: _DayTables, u: np.ndarray, out: tuple, u4, codes, id
     counts += np.bincount(idx, minlength=len(counts))
 
 
-def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
-    """dtype of each of :data:`LOG_COLUMNS` a day of ``gt`` fills, None where absent.
+def _column_dtypes(gt: GroundTruth, with_arm: bool, last_day: int) -> tuple:
+    """dtype of each of :data:`LOG_COLUMNS` of a log of ``gt`` whose last day
+    is ``last_day``, None where absent.
 
     The codes ``x1``, ``x2``, ``a`` and ``d`` share the narrowest signed type
     that holds the spec's full cell index, so any mixed-radix index of them
     computed in their own type cannot wrap: int8 up to 128 cells, int16 up to
-    32,768.  ``day`` is int32, ``propensity`` float64, ``c``, ``s`` and
-    ``arm`` int8.
+    32,768.  ``day`` takes the narrowest signed type that holds
+    ``last_day``: int8 for logs of up to 128 days, int16 up to 32,768.
+    ``propensity`` is float64, ``c``, ``s`` and ``arm`` int8.
     """
     spec = gt.spec
     code = np.min_scalar_type(-(spec.k1 * spec.k2 * spec.action_cells))
     return (
-        np.int32, code, code, code,
+        np.min_scalar_type(-(int(last_day) + 1)), code, code, code,
         None if spec.n_decisions is None else code,
         np.float64, np.int8,
         None if gt.sale_logit is None else np.int8,
@@ -278,9 +282,10 @@ def _column_dtypes(gt: GroundTruth, with_arm: bool) -> tuple:
     )
 
 
-def _empty_columns(gt: GroundTruth, n: int, with_arm: bool) -> tuple:
-    """Fresh columns of an ``n``-row log of ``gt``; ``ValueError`` when they do not fit in memory."""
-    dtypes = _column_dtypes(gt, with_arm)
+def _empty_columns(gt: GroundTruth, n: int, with_arm: bool, last_day: int) -> tuple:
+    """Fresh columns of an ``n``-row log of ``gt`` whose last day is
+    ``last_day``; ``ValueError`` when they do not fit in memory."""
+    dtypes = _column_dtypes(gt, with_arm, last_day)
     try:
         return tuple(None if dt is None else np.empty(n, dtype=dt) for dt in dtypes)
     except MemoryError:
@@ -326,10 +331,11 @@ def run_day(
     With ``w`` workers, stripe ``k`` is chunks ``k, k + w, ...``.  The
     calling thread runs stripe 0 and a helper thread each other stripe; a
     day of one chunk starts no thread.  ``workers`` defaults to one per
-    CPU the process may run on.  Each stripe refills one uniform block and
-    three scratch arrays per chunk and adds its rows to one row of cell
-    counts, all allocated here by the calling thread, so a helper thread's
-    own allocations stay small.
+    CPU the process may run on.  Each stripe refills one word-major uniform
+    block, holding only the 4 words per row the sampler reads (5 with a
+    sale mechanism), and two scratch arrays per chunk, and adds its rows to
+    one row of cell counts, all allocated here by the calling thread, so a
+    helper thread's own allocations stay small.
 
     ``out`` is the destination, as in numpy's ``out=``: one length-``n``
     array per name in :data:`LOG_COLUMNS`, of the log's dtype, or None
@@ -337,8 +343,11 @@ def run_day(
     axis, ``s`` without a sale mechanism, ``arm`` when ``arm`` is None).
     The codes ``x1``, ``x2``, ``a`` and ``d`` are of the narrowest signed
     type that holds the spec's cell index (int16 for the default spec);
-    :func:`_column_dtypes` gives every column's type.  The returned log is
-    a view of ``out``.  By default fresh columns are allocated.
+    ``day`` may be of any signed integer type that holds ``day``, so a
+    study sizes it to its own last day.  :func:`_column_dtypes` gives every
+    column's type.  The returned log is a view of ``out``.  By default
+    fresh columns are allocated, with ``day`` of the narrowest type that
+    holds ``day``.
 
     Returns
     -------
@@ -347,7 +356,7 @@ def run_day(
         gt.spec)``, counted by the chunks as they are drawn.
     """
     _check_count("n", n, 1)
-    # The log's day column is int32.
+    # A day column is at most int32.
     if not _is_count(day) or not 0 <= day < 2**31:
         raise ValueError(f"day must be an integer in [0, 2**31), got {day!r}")
     if stream.day != day:
@@ -360,36 +369,36 @@ def run_day(
     chunk_rows = CHUNK_ROWS
     starts = range(0, n, chunk_rows)
     stripes = _worker_count(workers, len(starts))
-    dtypes = _column_dtypes(gt, arm is not None)
+    dtypes = _column_dtypes(gt, arm is not None, day)
     if out is None:
-        out = _empty_columns(gt, n, arm is not None)
+        out = _empty_columns(gt, n, arm is not None, day)
     elif len(out) != len(dtypes) or any(
         (col is None) != (dt is None) or (col is not None and (col.dtype != dt or len(col) != n))
-        for col, dt in zip(out, dtypes)
+        for col, dt in zip(out[1:], dtypes[1:])
     ):
         raise ValueError("out must hold one length-n column of the log's dtype per column the day fills")
+    elif out[0] is None or len(out[0]) != n or out[0].dtype.kind != "i" or out[0].itemsize < dtypes[0].itemsize:
+        # Any signed type at least as wide as the narrowest one holds the day.
+        raise ValueError(f"out's day column must be a length-n signed integer array that holds day {day}")
     tables = _day_tables(gt, policy)
     # The sampler's (x1, x2, a, d, propensity, c, s), in LOG_COLUMNS order.
     sampled = out[1:8]
     rows = min(chunk_rows, n)
+    words = 4 if tables.p_sale is None else 5
     buffers = [
-        (
-            np.empty((rows, UNIFORMS_PER_ROW), np.int64),
-            np.empty((4, rows), np.int64),
-            np.empty((3, rows), np.int32),
-            np.empty(rows, np.intp),
-        )
+        (np.empty((words, rows), np.int64), np.empty((3, rows), np.int32), np.empty(rows, np.intp))
         for _ in range(stripes)
     ]
     bins = np.zeros((stripes, 3 * tables.propensity.size), dtype=np.int64)
 
     def stripe(k):
-        u, u4, codes, idx = buffers[k]
+        u, codes, idx = buffers[k]
         for start in starts[k::stripes]:
             stop = min(start + chunk_rows, n)
             m = stop - start
-            uniforms = stream.uniforms(start, m, u[:m])
-            _simulate_chunk(tables, uniforms, _rows(sampled, start, stop), u4[:, :m], codes[:, :m], idx[:m], bins[k])
+            # A partial last chunk fills a contiguous (words, m) head of the block.
+            block = stream.uniforms(start, m, u.ravel()[: words * m].reshape(words, m))
+            _simulate_chunk(tables, block, _rows(sampled, start, stop), codes[:, :m], idx[:m], bins[k])
 
     if stripes == 1:
         stripe(0)
@@ -459,7 +468,7 @@ def scenario_feature_engineering(cfg: ScenarioConfig, day2_features=("x1", "x2")
     once; the next day's model is fit from that tally.
     """
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, with_arm=False)
+    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, False, cfg.days - 1)
     reports: list[DayReport] = []
     counts = None
     for day in range(cfg.days):
@@ -500,7 +509,7 @@ def _ab_tests(cfg: ScenarioConfig, regimes, arm_b_features=("x1", "x2")) -> list
     if cfg.samples_per_day < 2:
         raise ValueError("samples_per_day must be at least 2 to split each A/B day between arms A and B")
     gt = make_default_ground_truth(cfg.spec, cfg.seed, cfg.min_gap)
-    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, with_arm=True)
+    columns = _empty_columns(gt, cfg.days * cfg.samples_per_day, True, cfg.days - 1)
     common: list[DayReport] = []
     counts = None
     for day in range(cfg.ab_start_day):

@@ -23,16 +23,17 @@ from .numerics import UNIFORM_BITS, _check_count
 __all__ = ["UNIFORMS_PER_ROW", "DayStream"]
 
 # Fixed per-row budget: x1, x2, action cell, click, sale, plus three spare
-# columns.  Unused draws are still consumed so row i always starts at draw
-# offset i * UNIFORMS_PER_ROW.  The stride is 8 because Philox advances in
-# blocks of 4 sixty-four-bit outputs; two whole blocks per row keep every
-# row start block-aligned.
+# words.  Unused draws are still consumed, though not stored, so row i
+# always starts at draw offset i * UNIFORMS_PER_ROW.  The stride is 8
+# because Philox advances in blocks of 4 sixty-four-bit outputs; two whole
+# blocks per row keep every row start block-aligned.
 UNIFORMS_PER_ROW = 8
 _DRAWS_PER_BLOCK = 4
 # numpy's uniform double from a 64-bit word w is (w >> 11) * 2**-53.
 _SHIFT = 64 - UNIFORM_BITS
 # Rows per random_raw call while filling a block: one call's raw words
-# (64 KiB) stay in cache and below glibc's mmap threshold, and no
+# (64 KiB, all 8 of each row) stay in cache and below glibc's mmap
+# threshold, and are shifted straight into the block's word rows, so no
 # chunk-sized transient is allocated.
 _FILL_ROWS = 1024
 
@@ -80,21 +81,32 @@ class DayStream:
     def uniforms(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Draws for rows ``start .. start + count - 1``, as 53-bit integers.
 
-        Returns a ``(count, UNIFORMS_PER_ROW)`` int64 array of ``k`` in
-        ``[0, 2**53)`` that does not depend on how the row range is
-        partitioned into calls; ``k * 2**-53`` is, bit for bit, the double
-        ``np.random.Generator(np.random.Philox(key)).random()`` draws from
-        the same position.  ``out``, as in numpy's ``out=``, is a
-        C-contiguous int64 array of that shape to fill and return instead
-        of a fresh one.
+        Returns a word-major ``(w, count)`` int64 array of ``k`` in
+        ``[0, 2**53)``, whose row ``j`` holds word ``j`` of every drawn row,
+        and which does not depend on how the row range is partitioned into
+        calls.  Transposed, ``k * 2**-53`` is bit for bit the ``(count,
+        UNIFORMS_PER_ROW)`` block of doubles that
+        ``np.random.Generator(np.random.Philox(key)).random`` draws from the
+        same position.  ``w`` is :data:`UNIFORMS_PER_ROW` by default.
+        ``out``, as in numpy's ``out=``, is a C-contiguous int64 array of
+        shape ``(w, count)`` with ``1 <= w <= UNIFORMS_PER_ROW`` to fill with
+        each row's first ``w`` words and return instead of a fresh block;
+        every row still consumes all its words of the stream.
         """
         _check_count("start", start)
         _check_count("count", count)
-        shape = (count, UNIFORMS_PER_ROW)
         if out is None:
-            out = np.empty(shape, dtype=np.int64)
-        elif out.dtype != np.int64 or out.shape != shape or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous int64 array of shape {shape}")
+            out = np.empty((UNIFORMS_PER_ROW, count), dtype=np.int64)
+        elif (
+            out.dtype != np.int64
+            or out.ndim != 2
+            or not 1 <= out.shape[0] <= UNIFORMS_PER_ROW
+            or out.shape[1] != count
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous int64 array of shape (w, {count}), 1 <= w <= {UNIFORMS_PER_ROW}"
+            )
         if not hasattr(_local, "bit_generator"):
             _local.bit_generator = np.random.Philox(0)
         bit_generator = _local.bit_generator
@@ -103,7 +115,9 @@ class DayStream:
         # Every k is below 2**63, so the uint64 view holds the same numbers
         # and the shift runs without a cast.
         words = out.view(np.uint64)
+        w = len(words)
         for first in range(0, count, _FILL_ROWS):
-            rows = words[first : first + _FILL_ROWS]
-            np.right_shift(bit_generator.random_raw(rows.shape), _SHIFT, out=rows)
+            rows = words[:, first : first + _FILL_ROWS]
+            raw = bit_generator.random_raw((rows.shape[1], UNIFORMS_PER_ROW))
+            np.right_shift(raw[:, :w].T, _SHIFT, out=rows)
         return out

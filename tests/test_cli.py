@@ -389,7 +389,7 @@ class TestExitCodes:
             capsys, "feature-engineering", "--out", str(tmp_path), "--samples-per-day", str(10**12)
         )
         assert code == 2
-        assert "error: a log of 6,000,000,000,000 rows at 19 bytes per row does not fit in memory" in err
+        assert "error: a log of 6,000,000,000,000 rows at 16 bytes per row does not fit in memory" in err
         assert not (tmp_path / "feature_engineering").exists()
 
     @pytest.mark.parametrize("command", ["feature-engineering", "ab-test", "click-sale", "two-decision"])
@@ -403,6 +403,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: Unable to allocate 728. TiB")
         assert list(tmp_path.iterdir()) == []
+
+    def test_traced_study_that_cannot_start_writes_no_directory(self, capsys, tmp_path):
+        # The search's trace needs the run directory, which it makes only
+        # once the exploration day has run.
+        code, _, err = run(
+            capsys, "two-decision", "--trace", "--out", str(tmp_path), "--samples-per-day", "100",
+            "--k1", str(10**7), "--k2", str(10**7),
+        )
+        assert code == 2
+        assert err.startswith("error: Unable to allocate 728. TiB")
+        assert not (tmp_path / "two_decision").exists()
 
     def test_unwritable_output_root_is_internal(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

@@ -189,6 +189,16 @@ class TestSlicing:
         np.testing.assert_array_equal(whole.day, log.day)
         np.testing.assert_array_equal(whole.a, log.a)
 
+    def test_concat_of_int8_and_int16_days_keeps_every_day(self):
+        # Study logs size their day column to their last day: int8 up to
+        # day 127, int16 beyond.
+        early, late = small_log(days=(0, 5, 127)), small_log(days=(127, 128, 300))
+        early.day, late.day = early.day.astype(np.int8), late.day.astype(np.int16)
+        whole = Log.concat([early, late])
+        assert whole.day.dtype == np.int16
+        assert whole.day.tolist() == [0, 5, 127, 127, 128, 300]
+        assert [len(whole.day_slice(d)) for d in (0, 127, 128, 300)] == [1, 2, 1, 1]
+
     def test_concat_rejects_mixed_columns(self):
         with pytest.raises(ValueError):
             Log.concat([small_log(), small_log(with_sales=True)])

@@ -252,7 +252,7 @@ class TestRunDay:
     def test_out_receives_the_day_in_place(self):
         gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02, with_sales=True)
         fresh, report, _ = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A")
-        whole = tuple(None if col is None else np.zeros_like(col) for col in _empty_columns(gt, 6_000, True))
+        whole = tuple(None if col is None else np.zeros_like(col) for col in _empty_columns(gt, 6_000, True, 2))
         out = tuple(None if col is None else col[500:5_500] for col in whole)
         log, same, _ = run_day(gt, uniform_policy(SPEC), 5_000, 2, DayStream(1, 2, 1), arm="A", out=out)
         assert same == report
@@ -265,7 +265,7 @@ class TestRunDay:
     @pytest.mark.parametrize("fault", ["length", "dtype", "code-dtype", "missing", "extra"])
     def test_out_must_match_the_day(self, fault):
         gt = make_default_ground_truth(SPEC, seed=0)  # no decision axis, no sales
-        out = list(_empty_columns(gt, 100, with_arm=False))
+        out = list(_empty_columns(gt, 100, False, 0))
         if fault == "length":
             out[LOG_COLUMNS.index("x1")] = np.zeros(99, dtype=np.int16)
         elif fault == "dtype":
@@ -280,10 +280,53 @@ class TestRunDay:
         with pytest.raises(ValueError, match="out must hold"):
             run_day(gt, uniform_policy(SPEC), 100, 0, DayStream(0, 0, 0), out=tuple(out))
 
+    @pytest.mark.parametrize("fault", ["missing", "length", "float", "unsigned"])
+    def test_day_column_must_be_signed_and_of_the_day(self, fault):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        out = list(_empty_columns(gt, 100, False, 0))
+        out[0] = {
+            "missing": None,
+            "length": np.zeros(99, dtype=np.int8),
+            "float": np.zeros(100, dtype=np.float64),
+            "unsigned": np.zeros(100, dtype=np.uint8),
+        }[fault]
+        with pytest.raises(ValueError, match="out's day column must be a length-n signed integer array"):
+            run_day(gt, uniform_policy(SPEC), 100, 0, DayStream(0, 0, 0), out=tuple(out))
+
+    @pytest.mark.parametrize("day_type", [np.int8, np.int16, np.int32, np.int64])
+    def test_out_takes_any_signed_day_column_that_holds_the_day(self, day_type):
+        gt = make_default_ground_truth(SPEC, seed=1, min_gap=0.02)
+        fresh, report, _ = run_day(gt, uniform_policy(SPEC), 3_000, 5, DayStream(1, 5, 0))
+        assert fresh.day.dtype == np.int8
+        out = list(_empty_columns(gt, 3_000, False, 5))
+        out[0] = np.zeros(3_000, dtype=day_type)
+        log, same, _ = run_day(gt, uniform_policy(SPEC), 3_000, 5, DayStream(1, 5, 0), out=tuple(out))
+        assert same == report
+        assert log.day is out[0] and (log.day == 5).all()
+        assert ndjson_text(log) == ndjson_text(fresh)
+
+    def test_day_column_too_narrow_for_the_day_rejected_before_any_draw(self, monkeypatch):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        out = list(_empty_columns(gt, 10, False, 127))
+        assert out[0].dtype == np.int8
+
+        def fail(self, *args):
+            raise AssertionError("uniforms drawn into a day column that cannot hold the day")
+
+        monkeypatch.setattr(DayStream, "uniforms", fail)
+        with pytest.raises(ValueError, match="out's day column must be .* that holds day 200"):
+            run_day(gt, uniform_policy(SPEC), 10, 200, DayStream(0, 200, 0), out=tuple(out))
+
+    def test_fresh_day_column_is_the_narrowest_that_holds_the_day(self):
+        gt = make_default_ground_truth(SPEC, seed=0)
+        for day, day_type in ((0, np.int8), (127, np.int8), (128, np.int16), (2**15, np.int32)):
+            log, _, _ = run_day(gt, uniform_policy(SPEC), 3, day, DayStream(0, day, 0))
+            assert log.day.dtype == day_type and (log.day == day).all(), day
+
     def test_log_too_large_to_allocate_is_a_value_error(self):
         # numpy refuses 10**12 rows at once, before any column is allocated.
         gt = make_default_ground_truth(SPEC, seed=0)
-        with pytest.raises(ValueError, match=r"1,000,000,000,000 rows at 19 bytes per row does not fit"):
+        with pytest.raises(ValueError, match=r"1,000,000,000,000 rows at 16 bytes per row does not fit"):
             run_day(gt, uniform_policy(SPEC), 10**12, 0, DayStream(0, 0, 0))
 
 
@@ -297,8 +340,9 @@ CODE_TYPE_SPECS = (
 
 
 def assert_column_types(log, code):
+    """Every column's type; the logs of these tests end before day 128, so ``day`` is int8."""
     types = dict.fromkeys(LOG_COLUMNS, np.int8)
-    types.update(day=np.int32, x1=code, x2=code, a=code, d=code, propensity=np.float64)
+    types.update(x1=code, x2=code, a=code, d=code, propensity=np.float64)
     for name, want in types.items():
         col = getattr(log, name)
         assert col is None or col.dtype == want, (name, col.dtype)
@@ -366,28 +410,28 @@ def sampler_policy(spec, kind, epsilon, rng):
 
 
 def simulate_chunk(gt, policy, u):
-    """_simulate_chunk's columns for the integer uniforms ``u``, written over
-    columns that start out as junk bytes so every byte must come from the sampler."""
-    out = _empty_columns(gt, len(u), with_arm=False)[1:8]
+    """_simulate_chunk's columns for the word-major integer uniforms ``u``,
+    written over columns that start out as junk bytes so every byte must come
+    from the sampler.  The sampler reads, and partly overwrites, a copy of
+    the 4 words per row run_day gives it, 5 with a sale mechanism."""
+    m = u.shape[1]
+    out = _empty_columns(gt, m, False, 0)[1:8]
     for col in out:
         if col is not None:
             col.view(np.uint8).fill(0x5A)
     tables = _day_tables(gt, policy)
-    scratch = (
-        np.empty((4, len(u)), dtype=np.int64),
-        np.empty((3, len(u)), dtype=np.int32),
-        np.empty(len(u), dtype=np.intp),
-    )
-    _simulate_chunk(tables, u, out, *scratch, np.zeros(3 * tables.propensity.size, dtype=np.int64))
+    block = np.array(u[: 4 if gt.sale_logit is None else 5])
+    scratch = (np.empty((3, m), dtype=np.int32), np.empty(m, dtype=np.intp))
+    _simulate_chunk(tables, block, out, *scratch, np.zeros(3 * tables.propensity.size, dtype=np.int64))
     return out
 
 
 def reference_columns(gt, policy, u):
-    """The reference chunk drawn from the doubles ``u * 2**-53`` of the integer
-    uniforms ``u``, with its covariates and actions cast to the log's code
-    type, a cast that must keep every value."""
-    cols = list(simulate_chunk_reference(gt, policy, u * 2.0**-53))
-    code = _column_dtypes(gt, with_arm=False)[LOG_COLUMNS.index("x1")]
+    """The reference chunk drawn from the row-major doubles ``u.T * 2**-53``
+    of the word-major integer uniforms ``u``, with its covariates and
+    actions cast to the log's code type, a cast that must keep every value."""
+    cols = list(simulate_chunk_reference(gt, policy, u.T * 2.0**-53))
+    code = _column_dtypes(gt, False, 0)[LOG_COLUMNS.index("x1")]
     for i in range(4):
         if cols[i] is not None:
             cast = cols[i].astype(code)
@@ -444,8 +488,8 @@ class TestSamplerByteContract:
         # uniforms k * 2**-53: 0.25 itself and the one above it.
         quarter, half = 2**51, 2**52
         above = quarter + 1
-        u = np.zeros((7, 8), dtype=np.int64)
-        u[:, :3] = [
+        u = np.zeros((8, 7), dtype=np.int64)
+        u[:3] = np.transpose([
             [quarter, quarter, quarter],
             [half, half, half],
             [above, above, above],
@@ -453,7 +497,7 @@ class TestSamplerByteContract:
             [0, 0, 0],
             [quarter, K_TOP, half],
             [quarter, quarter, quarter],
-        ]
+        ])
         got = simulate_chunk(gt, policy, u)
         assert got[0].tolist() == [1, 2, 1, 2, 0, 1, 1]
         assert got[1].tolist() == [0, 1, 1, 2, 0, 2, 0]
@@ -546,16 +590,16 @@ def edge_uniforms(cdf, rng):
     """Rows whose first three integer uniforms cover 0, every bucket edge
     b/256, both grid neighbours (floor and ceil of ``v * 2**53``) of every
     CDF entry and of its float neighbours, and K_TOP, in three independent
-    orders; the other five uniforms are random."""
+    orders; the other five uniforms are random.  Word-major: row j is word j."""
     doubles = {b / 256 for b in range(256)}
     for e in cdf:
         doubles |= {e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)}
     scaled = np.array(sorted(doubles)) * 2.0**53
     values = np.unique(np.concatenate([[0.0, K_TOP], np.floor(scaled), np.ceil(scaled)]))
     values = values[values < 2**53].astype(np.int64)
-    u = rng.integers(0, 2**53, size=(len(values), 8))
-    for col in range(3):
-        u[:, col] = rng.permutation(values)
+    u = rng.integers(0, 2**53, size=(len(values), 8)).T.copy()
+    for word in range(3):
+        u[word] = rng.permutation(values)
     return u
 
 
@@ -685,10 +729,10 @@ def log_bytes_and_peak(study) -> tuple:
 
 class TestFeatureEngineeringLoop:
     def test_peak_memory_stays_near_the_log(self):
-        """A row is 19 bytes: int32 day, int16 codes, float64 propensity, int8 click."""
+        """A row is 16 bytes: int8 day, int16 codes, float64 propensity, int8 click."""
         nbytes, peak = log_bytes_and_peak(lambda: scenario_feature_engineering(ScenarioConfig(seed=0)))
-        assert nbytes == 6 * 400_000 * 19
-        assert peak <= 1.35 * nbytes, peak / nbytes
+        assert nbytes == 6 * 400_000 * 16
+        assert peak <= 1.15 * nbytes, peak / nbytes
 
     def test_dip_and_recovery_on_every_fixture_seed(self, day_loop_sweep):
         """One x2-aware day confounds exactly one successor day.
@@ -723,6 +767,15 @@ class TestFeatureEngineeringLoop:
             assert by_day[day].model_trained_on == (day - 1, day - 1)
         assert all(r.regret >= -1e-12 for r in res.reports)
         assert set(np.unique(res.log.day)) == set(range(6))
+
+    def test_a_200_day_study_stores_int16_days(self):
+        cfg = ScenarioConfig(samples_per_day=100, days=200)
+        log = scenario_feature_engineering(cfg).log
+        assert log.day.dtype == np.int16
+        np.testing.assert_array_equal(log.day, np.repeat(np.arange(200), 100))
+        day = log.day_slice(150)
+        assert len(day) == 100 and (day.day == 150).all()
+        np.testing.assert_array_equal(day.x1, log.x1[150 * 100 : 151 * 100])
 
     def test_desk_scale_still_shows_the_dip(self):
         res = scenario_feature_engineering(DESK)
@@ -810,11 +863,11 @@ class TestABTest:
     def test_peak_memory_stays_near_the_log(self):
         """Days are written into the scenario's log in place: no day log,
         shared training log or final log is a second copy of the rows.
-        A row is 20 bytes: int32 day, int16 codes, float64 propensity,
+        A row is 17 bytes: int8 day, int16 codes, float64 propensity,
         int8 click and arm."""
         nbytes, peak = log_bytes_and_peak(lambda: scenario_ab_test(ScenarioConfig(seed=0), shared_log=True))
-        assert nbytes == 6 * 400_000 * 20
-        assert peak <= 1.35 * nbytes, peak / nbytes
+        assert nbytes == 6 * 400_000 * 17
+        assert peak <= 1.15 * nbytes, peak / nbytes
 
 
 class TestABRegimeSharing:
@@ -932,13 +985,13 @@ class TestTwoDecision:
         assert gain >= TWO_DECISION_MARGIN
         assert res.model_value("joint_argmax") >= res.model_value("reinforce_factored") - 1e-12
 
-    def test_log_takes_21_bytes_per_row(self):
-        """int32 day, four int16 codes, float64 propensity, int8 click.  The
+    def test_log_takes_18_bytes_per_row(self):
+        """int8 day, four int16 codes, float64 propensity, int8 click.  The
         one-day log is too small for a peak bound: the day's stripe buffers
         and the search's tables are a large share of the call's memory."""
         log = scenario_two_decision(ScenarioConfig(spec=TWO_DECISION_SPEC, samples_per_day=5_000)).log
         assert log.d is not None and log.s is None and log.arm is None
-        assert log_nbytes(log) == 5_000 * 21
+        assert log_nbytes(log) == 5_000 * 18
 
     def test_requires_a_decision_axis(self):
         with pytest.raises(ValueError):
